@@ -84,12 +84,27 @@ func TestGoldenSchemeEnergy(t *testing.T) {
 	}
 	opt := sim.QuickOptions()
 
+	// MB_distr's two ablation switches get their own fixture names.
+	flatSelect := core.MBDistr()
+	flatSelect.Name = "MB_distr_flat_select"
+	flatSelect.FP.FlatSelectPriority = true
+	keepMap := core.MBDistr()
+	keepMap.Name = "MB_distr_keep_map"
+	keepMap.Int.KeepMapOnMispredict = true
+	keepMap.FP.KeepMapOnMispredict = true
+
 	for _, cfg := range []core.Config{
 		core.Unbounded(),
 		core.Baseline64(),
 		core.LatFIFOCfg(8, 8, 8, 16),
 		core.IFDistr(),
 		core.MBDistr(),
+		core.AdaptiveBaseline64(),
+		core.PreSchedCfg(8, 8, 64, 0),
+		core.MixBUFFCfg(16, 16, 8, 16, 0), // Fig. 6 shape, unbounded chains
+		core.IssueFIFOCfg(8, 16, 16, 16),
+		flatSelect,
+		keepMap,
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			p, err := pipeline.New(pipeline.DefaultConfig(cfg), trace.NewGenerator(model))
