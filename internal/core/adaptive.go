@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"distiq/internal/isa"
 	"distiq/internal/power"
 )
@@ -20,7 +22,8 @@ import (
 // published behaviour at the fidelity the energy comparison needs: the
 // effective queue tracks the ILP the program actually exploits.
 type adaptiveCAM struct {
-	cam *camQueue
+	cam   *camQueue
+	order []*isa.Inst // the queue's instructions, oldest first
 
 	portion   int   // resize granularity in entries
 	limit     int   // current effective capacity
@@ -43,6 +46,7 @@ type adaptiveCAM struct {
 func newAdaptiveCAM(cfg DomainConfig, opt Options) *adaptiveCAM {
 	a := &adaptiveCAM{
 		cam:      newCAM(cfg, opt),
+		order:    make([]*isa.Inst, 0, cfg.Total()),
 		portion:  8,
 		limit:    cfg.Total(),
 		interval: 512,
@@ -78,41 +82,39 @@ func (a *adaptiveCAM) Geometry() power.Geometry {
 func (a *adaptiveCAM) Limit() int { return a.limit }
 
 func (a *adaptiveCAM) Dispatch(env Env, in *isa.Inst) bool {
-	if len(a.cam.entries) >= a.limit {
+	if a.cam.Occupancy() >= a.limit {
 		a.limitStalls++
 		return false
 	}
-	return a.cam.Dispatch(env, in)
+	if !a.cam.Dispatch(env, in) {
+		return false
+	}
+	a.order = append(a.order, in)
+	return true
 }
 
 func (a *adaptiveCAM) Issue(env Env, budget int) int {
 	a.resize(env)
 	a.limitSum += uint64(a.limit)
 	a.ticks++
-	// Youngest-portion accounting: entries are kept in dispatch order,
-	// so the youngest portion of the *effective window* is the set of
-	// entries at positions [limit-portion, limit). If occupancy never
-	// reaches into that range, the portion contributes nothing and the
-	// queue can shrink — the Folegnani-González criterion.
-	var young map[*isa.Inst]bool
-	if youngStart := a.limit - a.portion; youngStart < len(a.cam.entries) {
-		young = make(map[*isa.Inst]bool, a.portion)
-		for _, in := range a.cam.entries[youngStart:] {
-			young[in] = true
-		}
+	// Youngest-portion accounting: the youngest portion of the
+	// *effective window* is the set of entries at age positions
+	// [limit-portion, limit). If occupancy never reaches into that
+	// range, the portion contributes nothing and the queue can shrink —
+	// the Folegnani-González criterion.
+	pivot := ^uint64(0)
+	if youngStart := a.limit - a.portion; youngStart < len(a.order) {
+		pivot = a.order[youngStart].Seq
 	}
 	n := a.cam.Issue(env, budget)
-	if young != nil {
-		// Count issued instructions that were in the youngest portion.
-		still := make(map[*isa.Inst]bool, len(a.cam.entries))
-		for _, in := range a.cam.entries {
-			still[in] = true
+	for _, in := range a.cam.issued {
+		if in.Seq >= pivot {
+			a.youngIssued++
 		}
-		for in := range young {
-			if !still[in] {
-				a.youngIssued++
-			}
-		}
+		i := sort.Search(len(a.order), func(j int) bool { return a.order[j].Seq >= in.Seq })
+		copy(a.order[i:], a.order[i+1:])
+		a.order[len(a.order)-1] = nil
+		a.order = a.order[:len(a.order)-1]
 	}
 	return n
 }

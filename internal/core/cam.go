@@ -1,9 +1,54 @@
 package core
 
 import (
+	"sort"
+
 	"distiq/internal/isa"
 	"distiq/internal/power"
 )
+
+// wheelSize bounds how far ahead of the current cycle a known ready cycle
+// can lie: a producer's result is usable less than the pipeline's
+// completion horizon after it issues. A power of two.
+const wheelSize = 1024
+
+// camEntry is one slot of the CAM queue: the instruction and the cached
+// ready cycle of each source tag (0 when absent, NotYet while the
+// producer has not issued).
+type camEntry struct {
+	in  *isa.Inst
+	ord uint64 // dispatch order within the queue
+	at  [2]int64
+	// parked marks a tag whose producer waits in this queue: the tag is
+	// on the producer's wakeup list, linked through tagNext, and is
+	// resolved when the producer issues instead of being re-read.
+	parked  [2]bool
+	tagNext [2]int
+	wakeup  int  // head of the list of tags waiting on this entry's result
+	next    int  // link in the wheel list of its ready cycle
+	wpos    int  // index in camQueue.waiting, -1 when no tag is re-read
+	sched   bool // issue operands known: on the wheel or in the ready list
+}
+
+// tag returns source k's register file and physical register.
+func (e *camEntry) tag(k int) (fp bool, preg int16) {
+	if k == 0 {
+		return e.in.Src1FP, e.in.PSrc1
+	}
+	return e.in.Src2FP, e.in.PSrc2
+}
+
+// issueAt returns the cycle the entry's issue operands are all usable
+// (every source except a store's data), NotYet while one is unknown.
+func (e *camEntry) issueAt() int64 {
+	if e.in.Class == isa.Store {
+		return e.at[0]
+	}
+	return max(e.at[0], e.at[1])
+}
+
+// polled reports whether tag k is unknown and not on a wakeup list.
+func (e *camEntry) polled(k int) bool { return e.at[k] == NotYet && !e.parked[k] }
 
 // camQueue is the conventional out-of-order issue queue: a CAM array holds
 // operand tags that are matched against every result broadcast (wakeup),
@@ -11,23 +56,61 @@ import (
 // the paper's baseline, the queue is multi-banked and spends wakeup energy
 // only on unready operands (the Folegnani-González optimization), and the
 // selection logic consumes nothing when the queue is empty.
+//
+// The model works from cached tag ready cycles. A tag whose producer
+// waits in the same queue sits on that producer's wakeup list and learns
+// its ready cycle when the producer issues; a tag whose producer is
+// elsewhere (the other domain's queue, or PreSched's second level) is
+// re-read each cycle until the producer has issued. An entry whose issue
+// operands are known waits on a timing wheel until its ready cycle and
+// then joins the ready list, from which selection picks. A broadcast
+// compares against every unready tag of its register file; that count is
+// kept per file as the tags whose producer has not issued plus those
+// whose known ready cycle lies in the future.
 type camQueue struct {
-	opt     Options
-	cfg     DomainConfig
-	entries []*isa.Inst
-	ev      power.Events
+	opt Options
+	cfg DomainConfig
+	ev  power.Events
+
+	ents       []camEntry
+	free       []int            // free slots
+	ready      []int            // slots whose issue operands are usable, in dispatch order
+	waiting    []int            // slots with a tag re-read each cycle
+	wheel      [wheelSize]int32 // per ready cycle mod wheelSize, a list of slots
+	occ        int
+	dispatched uint64      // instructions ever dispatched
+	producer   producerMap // slots of the unissued producers in this queue
+
+	unknown [2]int              // tags per register file with an unissued producer
+	future  [2]int              // tags per register file with a ready cycle after seen
+	due     [2][wheelSize]int32 // future tags by ready cycle mod wheelSize
+	seen    int64               // cycle the state was last brought up to date
+	issued  []*isa.Inst         // instructions issued by the last Issue call
 }
 
 func newCAM(cfg DomainConfig, opt Options) *camQueue {
-	return &camQueue{
+	n := cfg.Total()
+	q := &camQueue{
 		opt:     opt,
 		cfg:     cfg,
-		entries: make([]*isa.Inst, 0, cfg.Total()),
+		ents:    make([]camEntry, n),
+		free:    make([]int, n),
+		ready:   make([]int, 0, n),
+		waiting: make([]int, 0, n),
+		issued:  make([]*isa.Inst, 0, n),
+		seen:    -1,
 	}
+	for i := range q.free {
+		q.free[i] = n - 1 - i
+	}
+	for i := range q.wheel {
+		q.wheel[i] = -1
+	}
+	return q
 }
 
 func (q *camQueue) Name() string          { return "CAM" }
-func (q *camQueue) Occupancy() int        { return len(q.entries) }
+func (q *camQueue) Occupancy() int        { return q.occ }
 func (q *camQueue) Capacity() int         { return q.cfg.Total() }
 func (q *camQueue) Events() *power.Events { return &q.ev }
 
@@ -48,80 +131,225 @@ func (q *camQueue) Geometry() power.Geometry {
 }
 
 func (q *camQueue) Dispatch(env Env, in *isa.Inst) bool {
-	if len(q.entries) >= cap(q.entries) {
+	if q.occ >= len(q.ents) {
 		return false
 	}
+	now := env.Cycle()
+	q.refresh(env, now)
+	s := q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	e := &q.ents[s]
+	*e = camEntry{in: in, ord: q.dispatched, wakeup: -1, wpos: -1}
+	q.dispatched++
+	for k := range e.at {
+		fp, preg := e.tag(k)
+		if preg == isa.NoReg {
+			continue
+		}
+		e.at[k] = env.OperandReadyAt(fp, preg)
+		q.countTag(fp, e.at[k], now, 1)
+		// A store's data tag never gates issue, so the store may leave
+		// before its producer issues; it is always re-read instead.
+		if e.at[k] != NotYet || (k == 1 && in.Class == isa.Store) {
+			continue
+		}
+		if p := q.producer.cell(fp, preg); p != nil && *p > 0 {
+			prod := &q.ents[*p-1]
+			e.parked[k], e.tagNext[k] = true, prod.wakeup
+			prod.wakeup = 2*s + k
+		}
+	}
+	if e.polled(0) || e.polled(1) {
+		e.wpos = len(q.waiting)
+		q.waiting = append(q.waiting, s)
+	}
+	if p := q.producer.cell(in.DestFP, in.PDest); p != nil {
+		*p = int32(s + 1)
+	}
+	q.schedule(s, now)
 	in.QueueID = 0
-	q.entries = append(q.entries, in)
+	q.occ++
 	q.ev.IQWrites++
 	return true
 }
 
-// Issue selects up to budget ready instructions, oldest first. Entries are
-// kept in dispatch order, so a single in-order scan implements the
-// oldest-first position-based selection policy of the baseline.
-func (q *camQueue) Issue(env Env, budget int) int {
-	if len(q.entries) == 0 {
-		return 0 // empty queue: selection logic gated off
+// countTag adds d to the unready-tag count a tag of file fp with ready
+// cycle at contributes at cycle now.
+func (q *camQueue) countTag(fp bool, at, now int64, d int) {
+	f := domIdx(fp)
+	switch {
+	case at == NotYet:
+		q.unknown[f] += d
+	case at > now:
+		q.future[f] += d
+		q.due[f][at%wheelSize] += int32(d)
 	}
-	q.ev.SelectOps++
-	q.ev.SelectEntries += uint64(len(q.entries))
+}
 
-	issued := 0
-	kept := q.entries[:0]
-	for i, in := range q.entries {
-		if issued >= budget {
-			kept = append(kept, q.entries[i:]...)
-			break
+// resolve records that tag k of slot s, unknown until now, becomes usable
+// at cycle at.
+func (q *camQueue) resolve(s, k int, at, now int64) {
+	e := &q.ents[s]
+	fp, _ := e.tag(k)
+	q.countTag(fp, NotYet, now, -1)
+	e.at[k], e.parked[k] = at, false
+	q.countTag(fp, at, now, 1)
+	q.schedule(s, now)
+}
+
+// schedule places slot s, once its issue operands are known, in the ready
+// list or on the wheel at its ready cycle.
+func (q *camQueue) schedule(s int, now int64) {
+	e := &q.ents[s]
+	at := e.issueAt()
+	if e.sched || at == NotYet {
+		return
+	}
+	e.sched = true
+	if at <= now {
+		q.makeReady(s)
+		return
+	}
+	b := at % wheelSize
+	e.next, q.wheel[b] = int(q.wheel[b]), int32(s)
+}
+
+// makeReady inserts slot s into the ready list in dispatch order, which
+// is age order except in PreSched's first level (filled in promotion
+// order).
+func (q *camQueue) makeReady(s int) {
+	ord := q.ents[s].ord
+	i := sort.Search(len(q.ready), func(j int) bool { return q.ents[q.ready[j]].ord > ord })
+	q.ready = append(q.ready, 0)
+	copy(q.ready[i+1:], q.ready[i:])
+	q.ready[i] = s
+}
+
+// refresh brings the queue up to cycle now, at most once per cycle: tags
+// and entries whose ready cycle has arrived leave the future count and
+// the wheel, and tags whose producer is outside the queue are read again.
+func (q *camQueue) refresh(env Env, now int64) {
+	if now == q.seen {
+		return
+	}
+	if q.occ == 0 {
+		q.seen = now
+		return
+	}
+	for t := q.seen + 1; t <= now && t <= q.seen+wheelSize; t++ {
+		b := t % wheelSize
+		for f := range q.due {
+			q.future[f] -= int(q.due[f][b])
+			q.due[f][b] = 0
 		}
-		if !OperandsReady(env, in) || !env.TryIssue(in) {
-			kept = append(kept, in)
+		for s := int(q.wheel[b]); s >= 0; s = q.ents[s].next {
+			q.makeReady(s)
+		}
+		q.wheel[b] = -1
+	}
+	q.seen = now
+
+	for i := 0; i < len(q.waiting); {
+		s := q.waiting[i]
+		e := &q.ents[s]
+		for k := range e.at {
+			if !e.polled(k) {
+				continue
+			}
+			if at := env.OperandReadyAt(e.tag(k)); at != NotYet {
+				q.resolve(s, k, at, now)
+			}
+		}
+		if e.polled(0) || e.polled(1) {
+			i++
 			continue
 		}
-		q.ev.IQReads++
-		issued++
+		q.unwait(s)
 	}
-	// Clear the tail so removed instructions are not retained.
-	for i := len(kept); i < len(q.entries); i++ {
-		q.entries[i] = nil
+}
+
+// unwait removes slot s from the waiting list.
+func (q *camQueue) unwait(s int) {
+	i := q.ents[s].wpos
+	last := q.waiting[len(q.waiting)-1]
+	q.waiting[i] = last
+	q.ents[last].wpos = i
+	q.waiting = q.waiting[:len(q.waiting)-1]
+	q.ents[s].wpos = -1
+}
+
+// Issue selects up to budget ready instructions, oldest first (in dispatch
+// order).
+func (q *camQueue) Issue(env Env, budget int) int {
+	q.issued = q.issued[:0]
+	if q.occ == 0 {
+		return 0 // empty queue: selection logic gated off
 	}
-	q.entries = kept
-	return issued
+	now := env.Cycle()
+	q.refresh(env, now)
+	q.ev.SelectOps++
+	q.ev.SelectEntries += uint64(q.occ)
+
+	kept := q.ready[:0]
+	for i, s := range q.ready {
+		if len(q.issued) >= budget {
+			kept = append(kept, q.ready[i:]...)
+			break
+		}
+		if !env.TryIssue(q.ents[s].in) {
+			kept = append(kept, s)
+			continue
+		}
+		q.release(env, s, now)
+	}
+	q.ready = kept
+	return len(q.issued)
+}
+
+// release frees the slot of an instruction issued at cycle now and wakes
+// the tags waiting on its result, whose ready cycle is now known and lies
+// after now (so no woken entry joins the ready list this cycle). The
+// issued entry's issue operands were usable; a store's data tag may still
+// be unready.
+func (q *camQueue) release(env Env, s int, now int64) {
+	e := &q.ents[s]
+	in := e.in
+	q.issued = append(q.issued, in)
+	for k, at := range e.at {
+		if fp, preg := e.tag(k); preg != isa.NoReg {
+			q.countTag(fp, at, now, -1)
+		}
+	}
+	if e.wpos >= 0 {
+		q.unwait(s)
+	}
+	if p := q.producer.cell(in.DestFP, in.PDest); p != nil {
+		*p = 0
+	}
+	if e.wakeup >= 0 {
+		at := env.OperandReadyAt(in.DestFP, in.PDest)
+		for t := e.wakeup; t >= 0; {
+			c, k := t/2, t%2
+			t = q.ents[c].tagNext[k]
+			q.resolve(c, k, at, now)
+		}
+	}
+	e.in = nil
+	q.free = append(q.free, s)
+	q.occ--
+	q.ev.IQReads++
 }
 
 // OnComplete models a result-tag broadcast: the tag lines are driven and
 // every currently-unready operand of the matching register file compares.
 func (q *camQueue) OnComplete(env Env, destFP bool) {
-	if len(q.entries) == 0 {
+	if q.occ == 0 {
 		return
 	}
+	q.refresh(env, env.Cycle())
 	q.ev.WakeupBroadcasts++
-	for _, in := range q.entries {
-		if in.PSrc1 != isa.NoReg && in.Src1FP == destFP && !env.OperandReady(in.Src1FP, in.PSrc1) {
-			q.ev.WakeupCAMCells++
-		}
-		if in.PSrc2 != isa.NoReg && in.Src2FP == destFP && !env.OperandReady(in.Src2FP, in.PSrc2) {
-			q.ev.WakeupCAMCells++
-		}
-	}
+	f := domIdx(destFP)
+	q.ev.WakeupCAMCells += uint64(q.unknown[f] + q.future[f])
 }
 
 func (q *camQueue) OnMispredictResolved() {}
-
-// ageSorted is a helper shared by the multi-queue schemes: it sorts
-// candidate instructions oldest first under the modular age encoding.
-// The slices are tiny (one candidate per queue, so at most a few dozen
-// entries), so an insertion sort beats sort.Slice — and, unlike
-// sort.Slice, performs no allocation, keeping the per-cycle issue path
-// allocation-free in steady state.
-func ageSorted(env Env, ins []*isa.Inst) {
-	for i := 1; i < len(ins); i++ {
-		in := ins[i]
-		j := i - 1
-		for j >= 0 && env.Older(in.AgeID, ins[j].AgeID) {
-			ins[j+1] = ins[j]
-			j--
-		}
-		ins[j+1] = in
-	}
-}

@@ -51,6 +51,7 @@ func TestCAMSkipsUnready(t *testing.T) {
 	}
 	// Unblock: the older instruction issues next cycle.
 	env.unblock(false, 5)
+	env.cycle++
 	env.issued = nil
 	if n := q.Issue(env, 8); n != 1 || env.issued[0].Seq != 0 {
 		t.Fatal("unblocked instruction did not issue")
@@ -92,6 +93,7 @@ func TestCAMWakeupCountsUnreadyMatchingDomain(t *testing.T) {
 		t.Fatalf("broadcasts = %d, want 2", q.ev.WakeupBroadcasts)
 	}
 	// Ready operands cost nothing (Folegnani-González).
+	env.cycle = 1
 	env.unblock(false, 3)
 	env.unblock(true, 4)
 	q.OnComplete(env, false)
@@ -150,7 +152,99 @@ func TestCAMTryIssueVetoKeepsEntry(t *testing.T) {
 		t.Fatal("vetoed instruction was removed")
 	}
 	delete(env.veto, 0)
+	env.cycle++
 	if n := q.Issue(env, 8); n != 1 {
 		t.Fatal("instruction lost after veto")
+	}
+}
+
+func TestCAMWakeupCountsFollowReadyCycles(t *testing.T) {
+	// The broadcast count is kept from cached ready cycles: a tag whose
+	// producer has issued stays unready until its ready cycle, and a
+	// store's data tag counts until the store leaves the queue.
+	q := newTestCAM(8)
+	env := newFakeEnv()
+	env.block(false, 3)
+	env.block(false, 4)
+	cons := mkInst(0, isa.IntALU, 3, isa.NoReg, 5)
+	st := mkInst(1, isa.Store, isa.NoReg, 4, isa.NoReg)
+	q.Dispatch(env, cons)
+	q.Dispatch(env, st)
+
+	cells := func() uint64 {
+		before := q.ev.WakeupCAMCells
+		q.OnComplete(env, false)
+		return q.ev.WakeupCAMCells - before
+	}
+	env.cycle = 1
+	if n := cells(); n != 2 {
+		t.Fatalf("cycle 1: %d unready tags, want 2", n)
+	}
+	env.readyAt[env.key(false, 3)] = 4 // producer issued, usable at 4
+	env.cycle = 2
+	if n := cells(); n != 2 {
+		t.Fatalf("cycle 2: %d unready tags, want 2", n)
+	}
+	// The store issues on its address alone; its data tag leaves with it.
+	if n := q.Issue(env, 8); n != 1 || env.issued[0] != st {
+		t.Fatal("store did not issue on its address")
+	}
+	env.cycle = 3
+	if n := cells(); n != 1 {
+		t.Fatalf("cycle 3: %d unready tags, want 1", n)
+	}
+	env.cycle = 4
+	if n := cells(); n != 0 {
+		t.Fatalf("cycle 4: %d unready tags, want 0", n)
+	}
+	if n := q.Issue(env, 8); n != 1 || env.issued[1] != cons {
+		t.Fatal("consumer did not issue in its ready cycle")
+	}
+}
+
+func TestCAMTagParkedOnProducerInQueue(t *testing.T) {
+	// A tag whose producer waits in the same queue is not re-read while
+	// the producer waits; the producer's issue gives it its ready cycle,
+	// which both selection and the broadcast count follow.
+	q := newTestCAM(8)
+	env := newFakeEnv()
+	env.block(false, 1)
+	env.block(false, 7)
+	prod := mkInst(0, isa.IntMult, 1, isa.NoReg, 7)
+	cons := mkInst(1, isa.IntALU, 7, isa.NoReg, 8)
+	q.Dispatch(env, prod)
+	q.Dispatch(env, cons)
+	reads := env.reads
+	for env.cycle = 1; env.cycle < 4; env.cycle++ {
+		q.OnComplete(env, false)
+		q.Issue(env, 8)
+	}
+	if env.reads != reads+3 {
+		t.Fatalf("%d reads over three cycles, want 3 (producer's tag only)", env.reads-reads)
+	}
+	if q.ev.WakeupCAMCells != 6 {
+		t.Fatalf("cells = %d, want 2 unready tags x 3 broadcasts", q.ev.WakeupCAMCells)
+	}
+	env.unblock(false, 1) // cycle 4: prod issues, r7 usable at 7
+	if n := q.Issue(env, 8); n != 1 || env.issued[0] != prod {
+		t.Fatal("producer did not issue")
+	}
+	for env.cycle = 5; env.cycle < 7; env.cycle++ {
+		before := q.ev.WakeupCAMCells
+		q.OnComplete(env, false)
+		if d := q.ev.WakeupCAMCells - before; d != 1 {
+			t.Fatalf("cycle %d: %d unready tags, want 1", env.cycle, d)
+		}
+		if n := q.Issue(env, 8); n != 0 {
+			t.Fatalf("cycle %d: consumer issued early", env.cycle)
+		}
+	}
+	before := q.ev.WakeupCAMCells
+	q.OnComplete(env, false)
+	if q.ev.WakeupCAMCells != before {
+		t.Fatal("ready tag still compared at its ready cycle")
+	}
+	if n := q.Issue(env, 8); n != 1 || env.issued[1] != cons {
+		t.Fatal("woken consumer did not issue in its ready cycle")
 	}
 }

@@ -4,22 +4,26 @@ import (
 	"distiq/internal/isa"
 )
 
-// fakeEnv is a controllable Env for scheme unit tests. Readiness is keyed
-// by (fp, preg); TryIssue succeeds unless the instruction is vetoed, and
-// records issue order.
+// fakeEnv is a controllable Env for scheme unit tests. Operand ready
+// cycles follow the pipeline's rules: a register is architecturally ready
+// (cycle 0) unless a test marks its producer as not issued (block);
+// issuing a producer, through TryIssue or unblock, fixes the cycle its
+// result becomes usable. TryIssue succeeds unless the instruction is
+// vetoed, and records issue order.
 type fakeEnv struct {
-	cycle    int64
-	notReady map[[2]int32]bool // {domIdx, preg} -> blocked
-	veto     map[uint64]bool   // seq -> TryIssue returns false
-	issued   []*isa.Inst
-	budget   int // optional cap enforced inside TryIssue (<=0: unlimited)
+	cycle   int64
+	readyAt map[[2]int32]int64 // {domIdx, preg} -> cycle usable or NotYet
+	veto    map[uint64]bool    // seq -> TryIssue returns false
+	issued  []*isa.Inst
+	budget  int // optional cap enforced inside TryIssue (<=0: unlimited)
+	reads   int // OperandReadyAt calls
 }
 
 func newFakeEnv() *fakeEnv {
 	return &fakeEnv{
-		notReady: map[[2]int32]bool{},
-		veto:     map[uint64]bool{},
-		budget:   -1,
+		readyAt: map[[2]int32]int64{},
+		veto:    map[uint64]bool{},
+		budget:  -1,
 	}
 }
 
@@ -33,11 +37,20 @@ func (e *fakeEnv) key(fp bool, preg int16) [2]int32 {
 	return [2]int32{d, int32(preg)}
 }
 
-func (e *fakeEnv) block(fp bool, preg int16)   { e.notReady[e.key(fp, preg)] = true }
-func (e *fakeEnv) unblock(fp bool, preg int16) { delete(e.notReady, e.key(fp, preg)) }
+// block marks a register's producer as not issued.
+func (e *fakeEnv) block(fp bool, preg int16) { e.readyAt[e.key(fp, preg)] = NotYet }
+
+// unblock issues a blocked register's producer with its result usable
+// from the current cycle on.
+func (e *fakeEnv) unblock(fp bool, preg int16) { e.readyAt[e.key(fp, preg)] = e.cycle }
+
+func (e *fakeEnv) OperandReadyAt(fp bool, preg int16) int64 {
+	e.reads++
+	return e.readyAt[e.key(fp, preg)]
+}
 
 func (e *fakeEnv) OperandReady(fp bool, preg int16) bool {
-	return !e.notReady[e.key(fp, preg)]
+	return e.readyAt[e.key(fp, preg)] <= e.cycle
 }
 
 func (e *fakeEnv) TryIssue(in *isa.Inst) bool {
@@ -52,6 +65,9 @@ func (e *fakeEnv) TryIssue(in *isa.Inst) bool {
 	}
 	e.issued = append(e.issued, in)
 	in.Issued = true
+	if in.PDest != isa.NoReg {
+		e.readyAt[e.key(in.DestFP, in.PDest)] = e.cycle + int64(latencyOf(in, isa.DefaultLatencies(), 2))
+	}
 	return true
 }
 

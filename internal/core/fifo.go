@@ -1,14 +1,202 @@
 package core
 
 import (
+	"math"
+
 	"distiq/internal/isa"
 	"distiq/internal/power"
 )
 
-// regKey indexes a queue-map table by (register, register file).
-type regKey struct {
-	reg int16
-	fp  bool
+// fifoRings is the storage and head-issue logic IssueFIFO and LatFIFO
+// share: one fixed ring of slots per queue, of which only the head is
+// ever considered for issue.
+//
+// Each head's operand ready cycles are read when the instruction becomes
+// head and kept once known. A head blocked on a producer that waits in
+// these rings is parked on that producer's wakeup list and read again
+// only after the producer issues; a head blocked on a producer elsewhere
+// (the other domain) is read again every cycle. So a cycle's head check
+// compares cached cycles and touches register state only for heads whose
+// producer may just have issued.
+type fifoRings struct {
+	entries int
+	slots   []*isa.Inst // queue q owns slots[q*entries : (q+1)*entries]
+	heads   []fifoHead
+	// headAt is each queue's head ready cycle: known, NotYet (read it
+	// again), or idle (empty queue, or head parked).
+	headAt []int64
+	occ    int
+	// headSrcs is the register-source count summed over the current
+	// heads: the ready-bit table reads one issue check performs.
+	headSrcs uint64
+
+	// producer holds the slots of the unissued producers in these
+	// rings; wakeup heads each slot's list of queues whose head is
+	// parked on its result, linked through fifoHead.nextParked.
+	producer producerMap
+	wakeup   []int
+
+	cands []*isa.Inst // scratch for age-ordering ready heads
+}
+
+// idle marks a queue head that is never ready and needs no read.
+const idle = math.MaxInt64
+
+// fifoHead is one queue's ring position and cached head.
+type fifoHead struct {
+	in         *isa.Inst // head instruction, nil when the queue is empty
+	ready      readyCache
+	first      int // slot offset of the head
+	n          int // instructions held
+	nextParked int // next queue parked on the same producer, -1 at the end
+}
+
+func newFIFORings(queues, entries int) fifoRings {
+	r := fifoRings{
+		entries: entries,
+		slots:   make([]*isa.Inst, queues*entries),
+		heads:   make([]fifoHead, queues),
+		headAt:  make([]int64, queues),
+		wakeup:  make([]int, queues*entries),
+		cands:   make([]*isa.Inst, 0, queues),
+	}
+	for q := range r.headAt {
+		r.headAt[q] = idle
+	}
+	for s := range r.wakeup {
+		r.wakeup[s] = -1
+	}
+	return r
+}
+
+func (r *fifoRings) full(q int) bool { return r.heads[q].n >= r.entries }
+
+// slot returns the index in slots of queue q's i-th instruction, head
+// first.
+func (r *fifoRings) slot(q, i int) int {
+	i += r.heads[q].first
+	if i >= r.entries {
+		i -= r.entries
+	}
+	return q*r.entries + i
+}
+
+// tail returns the youngest instruction of queue q, or nil when empty.
+func (r *fifoRings) tail(q int) *isa.Inst {
+	if r.heads[q].n == 0 {
+		return nil
+	}
+	return r.slots[r.slot(q, r.heads[q].n-1)]
+}
+
+// firstEmpty returns the lowest-numbered empty queue, or -1.
+func (r *fifoRings) firstEmpty() int {
+	for q := range r.heads {
+		if r.heads[q].n == 0 {
+			return q
+		}
+	}
+	return -1
+}
+
+// push appends in to queue q, which must have room.
+func (r *fifoRings) push(q int, in *isa.Inst) {
+	in.QueueID = q
+	h := &r.heads[q]
+	s := r.slot(q, h.n)
+	r.slots[s] = in
+	if p := r.producer.cell(in.DestFP, in.PDest); p != nil {
+		*p = int32(s + 1)
+	}
+	h.n++
+	r.occ++
+	if h.n == 1 {
+		r.newHead(q, in)
+	}
+}
+
+// pop removes the issued head of queue q and wakes the heads parked on
+// its result.
+func (r *fifoRings) pop(q int) {
+	h := &r.heads[q]
+	in := h.in
+	s := r.slot(q, 0)
+	if p := r.producer.cell(in.DestFP, in.PDest); p != nil {
+		*p = 0
+	}
+	for w := r.wakeup[s]; w >= 0; w = r.heads[w].nextParked {
+		r.headAt[w] = NotYet
+	}
+	r.wakeup[s] = -1
+	r.headSrcs -= uint64(in.NumSources())
+	r.slots[s] = nil
+	if h.first++; h.first == r.entries {
+		h.first = 0
+	}
+	h.n--
+	r.occ--
+	h.in, r.headAt[q] = nil, idle
+	if h.n > 0 {
+		r.newHead(q, r.slots[r.slot(q, 0)])
+	}
+}
+
+func (r *fifoRings) newHead(q int, in *isa.Inst) {
+	r.heads[q].in, r.heads[q].ready = in, unread
+	r.headAt[q] = NotYet
+	r.headSrcs += uint64(in.NumSources())
+}
+
+// read reads queue q's head operands again, parking the head when the
+// producer it is blocked on waits in these rings, and returns its cached
+// ready cycle.
+func (r *fifoRings) read(env Env, q int) int64 {
+	h := &r.heads[q]
+	at := h.ready.at(env, h.in)
+	if at == NotYet {
+		fp, preg := h.in.Src1FP, h.in.PSrc1
+		if h.ready.src1 != NotYet {
+			fp, preg = h.in.Src2FP, h.in.PSrc2
+		}
+		if p := r.producer.cell(fp, preg); p != nil && *p > 0 {
+			s := int(*p - 1)
+			h.nextParked, r.wakeup[s] = r.wakeup[s], q
+			at = idle
+		}
+	}
+	r.headAt[q] = at
+	return at
+}
+
+// issue checks every queue head against the ready-bit table and issues
+// ready heads oldest-first up to the budget.
+func (r *fifoRings) issue(env Env, budget int, ev *power.Events) int {
+	ev.RegsReadyReads += r.headSrcs
+	now := env.Cycle()
+	r.cands = r.cands[:0]
+	for q, at := range r.headAt {
+		if at == NotYet {
+			at = r.read(env, q)
+		}
+		if at <= now {
+			r.cands = append(r.cands, r.heads[q].in)
+		}
+	}
+	ageSorted(r.cands)
+
+	issued := 0
+	for _, in := range r.cands {
+		if issued >= budget {
+			break
+		}
+		if !env.TryIssue(in) {
+			continue
+		}
+		r.pop(in.QueueID)
+		ev.FIFOReads++
+		issued++
+	}
+	return issued
 }
 
 // mapEntry records which queue's tail produces a register.
@@ -24,28 +212,21 @@ type mapEntry struct {
 // FIFO holds a dependence chain and only queue heads are considered for
 // issue, eliminating the wakeup CAM.
 type issueFIFO struct {
-	opt    Options
-	cfg    DomainConfig
-	queues [][]*isa.Inst
-	table  map[regKey]mapEntry
-	ev     power.Events
-	occ    int
-
-	heads []*isa.Inst // scratch for age-ordering heads
+	opt Options
+	cfg DomainConfig
+	fifoRings
+	// table is indexed by register file (0 integer, 1 FP) and logical
+	// register.
+	table [2][isa.NumLogicalRegs]mapEntry
+	ev    power.Events
 }
 
 func newIssueFIFO(cfg DomainConfig, opt Options) *issueFIFO {
-	f := &issueFIFO{
-		opt:    opt,
-		cfg:    cfg,
-		queues: make([][]*isa.Inst, cfg.Queues),
-		table:  make(map[regKey]mapEntry),
-		heads:  make([]*isa.Inst, 0, cfg.Queues),
+	return &issueFIFO{
+		opt:       opt,
+		cfg:       cfg,
+		fifoRings: newFIFORings(cfg.Queues, cfg.Entries),
 	}
-	for i := range f.queues {
-		f.queues[i] = make([]*isa.Inst, 0, cfg.Entries)
-	}
-	return f
 }
 
 func (f *issueFIFO) Name() string          { return "IssueFIFO" }
@@ -64,15 +245,18 @@ func (f *issueFIFO) Geometry() power.Geometry {
 	}
 }
 
-// tailProduces reports whether the table entry still names the producing
-// instruction at the tail of its queue (entries self-invalidate when the
-// producer issues or is buried).
-func (f *issueFIFO) tailProduces(m mapEntry) bool {
+// producerQueue returns the queue whose tail still produces register reg
+// of file fp, or -1 (entries self-invalidate when the producer issues or
+// is buried).
+func (f *issueFIFO) producerQueue(reg int16, fp bool) int {
+	m := &f.table[domIdx(fp)][reg]
 	if !m.valid {
-		return false
+		return -1
 	}
-	q := f.queues[m.queue]
-	return len(q) > 0 && q[len(q)-1].Seq == m.seq
+	if t := f.tail(m.queue); t == nil || t.Seq != m.seq {
+		return -1
+	}
+	return m.queue
 }
 
 // Dispatch implements the paper's reading of Palacharla's heuristics:
@@ -93,83 +277,41 @@ func (f *issueFIFO) Dispatch(env Env, in *isa.Inst) bool {
 
 	target := -1
 	if in.Src1 != isa.NoReg {
-		if m := f.table[regKey{in.Src1, in.Src1FP}]; f.tailProduces(m) {
-			if len(f.queues[m.queue]) < f.cfg.Entries {
-				target = m.queue
+		if q := f.producerQueue(in.Src1, in.Src1FP); q >= 0 {
+			if !f.full(q) {
+				target = q
 			} else if !chainSrc2 {
 				return false // full, single-operand: stall
 			}
 		}
 	}
 	if target < 0 && chainSrc2 {
-		if m := f.table[regKey{in.Src2, in.Src2FP}]; f.tailProduces(m) {
-			if len(f.queues[m.queue]) < f.cfg.Entries {
-				target = m.queue
-			} else {
+		if q := f.producerQueue(in.Src2, in.Src2FP); q >= 0 {
+			if f.full(q) {
 				return false // full second-operand queue: stall
 			}
+			target = q
 		}
 	}
 	if target < 0 {
-		for qi := range f.queues {
-			if len(f.queues[qi]) == 0 {
-				target = qi
-				break
-			}
-		}
-		if target < 0 {
+		if target = f.firstEmpty(); target < 0 {
 			return false // no empty FIFO: stall
 		}
 	}
 
-	f.place(in, target)
-	return true
-}
-
-func (f *issueFIFO) place(in *isa.Inst, qi int) {
-	in.QueueID = qi
-	f.queues[qi] = append(f.queues[qi], in)
-	f.occ++
+	f.push(target, in)
 	f.ev.FIFOWrites++
 	if in.HasDest() {
-		f.table[regKey{in.Dest, in.DestFP}] = mapEntry{queue: qi, seq: in.Seq, valid: true}
+		f.table[domIdx(in.DestFP)][in.Dest] = mapEntry{queue: target, seq: in.Seq, valid: true}
 		f.ev.QRenameWrites++
 	}
+	return true
 }
 
 // Issue checks every queue head against the ready-bit table and issues
 // ready heads oldest-first up to the budget.
 func (f *issueFIFO) Issue(env Env, budget int) int {
-	f.heads = f.heads[:0]
-	for qi := range f.queues {
-		if len(f.queues[qi]) == 0 {
-			continue
-		}
-		head := f.queues[qi][0]
-		f.ev.RegsReadyReads += uint64(head.NumSources())
-		if OperandsReady(env, head) {
-			f.heads = append(f.heads, head)
-		}
-	}
-	ageSorted(env, f.heads)
-
-	issued := 0
-	for _, in := range f.heads {
-		if issued >= budget {
-			break
-		}
-		if !env.TryIssue(in) {
-			continue
-		}
-		qi := in.QueueID
-		copy(f.queues[qi], f.queues[qi][1:])
-		f.queues[qi][len(f.queues[qi])-1] = nil
-		f.queues[qi] = f.queues[qi][:len(f.queues[qi])-1]
-		f.occ--
-		f.ev.FIFOReads++
-		issued++
-	}
-	return issued
+	return f.issue(env, budget, &f.ev)
 }
 
 func (f *issueFIFO) OnComplete(Env, bool) {}
@@ -178,28 +320,7 @@ func (f *issueFIFO) OnComplete(Env, bool) {}
 // paper found to cost no measurable performance (the KeepMapOnMispredict
 // ablation retains it instead).
 func (f *issueFIFO) OnMispredictResolved() {
-	if f.cfg.KeepMapOnMispredict {
-		return
+	if !f.cfg.KeepMapOnMispredict {
+		f.table = [2][isa.NumLogicalRegs]mapEntry{}
 	}
-	for k := range f.table {
-		delete(f.table, k)
-	}
-}
-
-// DebugQueues returns, for each queue, the classes and wait states of its
-// entries (head first). For diagnostics and tests only.
-func (f *issueFIFO) DebugQueues(env Env) []string {
-	out := make([]string, len(f.queues))
-	for qi, q := range f.queues {
-		s := ""
-		for _, in := range q {
-			r := "R"
-			if !OperandsReady(env, in) {
-				r = "w"
-			}
-			s += in.Class.String() + ":" + r + " "
-		}
-		out[qi] = s
-	}
-	return out
 }

@@ -25,7 +25,7 @@ func TestFIFODependentFollowsProducer(t *testing.T) {
 	if prod.QueueID != cons.QueueID {
 		t.Fatalf("consumer queue %d != producer queue %d", cons.QueueID, prod.QueueID)
 	}
-	if len(f.queues[prod.QueueID]) != 2 {
+	if f.heads[prod.QueueID].n != 2 {
 		t.Fatal("chain not in one queue")
 	}
 }
@@ -101,18 +101,19 @@ func TestFIFOHeadsOnlyIssue(t *testing.T) {
 	env := newFakeEnv()
 	prod := mkInst(0, isa.IntALU, isa.NoReg, isa.NoReg, 7)
 	cons := mkInst(1, isa.IntALU, 7, isa.NoReg, 8)
+	env.block(false, 7) // renamed destination: not ready until prod issues
 	f.Dispatch(env, prod)
 	f.Dispatch(env, cons)
-	env.block(false, 7) // producer's dest not ready... block consumer only
-	// Producer has no sources: issues. Consumer is not head afterwards
-	// until the pop happens; both could issue in separate cycles.
+	// Producer has no sources: issues. Consumer is not head until the
+	// pop happens, and its operand is usable one cycle later.
+	env.cycle = 1
 	if n := f.Issue(env, 8); n != 1 {
 		t.Fatalf("cycle 1 issued %d, want 1 (head only)", n)
 	}
 	if env.issued[0] != prod {
 		t.Fatal("non-head issued first")
 	}
-	env.unblock(false, 7)
+	env.cycle = 2
 	if n := f.Issue(env, 8); n != 1 || env.issued[1] != cons {
 		t.Fatal("consumer did not issue after becoming head")
 	}
@@ -172,5 +173,83 @@ func TestFIFOCrossDomainRegistersDistinct(t *testing.T) {
 	f.Dispatch(env, consFP)
 	if consFP.QueueID == prodInt.QueueID {
 		t.Fatal("FP register matched integer producer")
+	}
+}
+
+func TestFIFOHeadRepolledUntilProducerIssues(t *testing.T) {
+	// The head's operand reads NotYet while its producer (in another
+	// domain) has not issued; the cached answer must be re-read every
+	// cycle, and the head must issue in exactly the cycle the operand
+	// becomes usable.
+	f := newTestFIFO(2, 4)
+	env := newFakeEnv()
+	env.block(true, 7) // FP producer, not in this scheme, not issued
+	cons := mkInst(0, isa.IntALU, 7, isa.NoReg, 8)
+	cons.Src1FP = true
+	f.Dispatch(env, cons)
+	for env.cycle = 1; env.cycle <= 3; env.cycle++ {
+		if n := f.Issue(env, 8); n != 0 {
+			t.Fatalf("cycle %d: issued with the producer not issued", env.cycle)
+		}
+	}
+	// The producer issues at cycle 3 with its result usable at cycle 6.
+	env.readyAt[env.key(true, 7)] = 6
+	reads := env.reads
+	for env.cycle = 4; env.cycle < 6; env.cycle++ {
+		if n := f.Issue(env, 8); n != 0 {
+			t.Fatalf("cycle %d: issued before the operand is usable", env.cycle)
+		}
+	}
+	if env.reads != reads+1 {
+		t.Fatalf("known ready cycle re-read: %d reads over two cycles, want 1", env.reads-reads)
+	}
+	if n := f.Issue(env, 8); n != 1 || env.issued[0] != cons {
+		t.Fatalf("cycle %d: head did not issue when its operand became usable", env.cycle)
+	}
+}
+
+func TestFIFOHeadParkedOnProducerInScheme(t *testing.T) {
+	// A head blocked on a producer held in another queue of the same
+	// scheme is not re-read while the producer waits; the producer's
+	// issue wakes it, and it issues in the producer's result cycle.
+	f := newTestFIFO(4, 4)
+	env := newFakeEnv()
+	env.block(false, 1)
+	env.block(false, 7)
+	blocker := mkInst(0, isa.IntALU, 1, isa.NoReg, 2) // waits on an outside producer
+	prod := mkInst(1, isa.IntMult, 2, isa.NoReg, 7)   // chains behind blocker
+	mid := mkInst(2, isa.IntALU, 7, isa.NoReg, 3)     // buries prod
+	cons := mkInst(3, isa.IntALU, 9, 7, 8)            // opens a queue
+	for _, in := range []*isa.Inst{blocker, prod, mid, cons} {
+		if !f.Dispatch(env, in) {
+			t.Fatalf("dispatch %d stalled", in.Seq)
+		}
+	}
+	if cons.QueueID == prod.QueueID {
+		t.Fatal("consumer chained behind a buried producer")
+	}
+	env.cycle = 1
+	f.Issue(env, 8) // reads both heads once; cons parks on prod
+	reads := env.reads
+	for env.cycle = 2; env.cycle < 5; env.cycle++ {
+		f.Issue(env, 8)
+	}
+	if env.reads != reads+3 {
+		t.Fatalf("%d reads over three cycles, want 3 (blocker only)", env.reads-reads)
+	}
+	env.unblock(false, 1) // blocker's producer result usable at 5
+	f.Issue(env, 8)       // cycle 5: blocker issues, r2 usable at 6
+	env.cycle = 6
+	f.Issue(env, 8) // prod issues (latency 3), r7 usable at 9
+	if len(env.issued) != 2 || env.issued[1] != prod {
+		t.Fatal("producer did not issue at its operand's ready cycle")
+	}
+	for env.cycle = 7; env.cycle < 9; env.cycle++ {
+		if n := f.Issue(env, 8); n != 0 {
+			t.Fatalf("cycle %d: consumer issued before its operand is usable", env.cycle)
+		}
+	}
+	if n := f.Issue(env, 8); n != 2 || env.issued[2] != mid || env.issued[3] != cons {
+		t.Fatal("woken head did not issue in its operand's ready cycle")
 	}
 }

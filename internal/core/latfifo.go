@@ -14,26 +14,18 @@ import (
 // uses this organization for FP queues only (integer queues remain
 // IssueFIFO).
 type latFIFO struct {
-	opt    Options
-	cfg    DomainConfig
-	queues [][]*isa.Inst
-	ev     power.Events
-	occ    int
-
-	heads []*isa.Inst
+	opt Options
+	cfg DomainConfig
+	fifoRings
+	ev power.Events
 }
 
 func newLatFIFO(cfg DomainConfig, opt Options) *latFIFO {
-	l := &latFIFO{
-		opt:    opt,
-		cfg:    cfg,
-		queues: make([][]*isa.Inst, cfg.Queues),
-		heads:  make([]*isa.Inst, 0, cfg.Queues),
+	return &latFIFO{
+		opt:       opt,
+		cfg:       cfg,
+		fifoRings: newFIFORings(cfg.Queues, cfg.Entries),
 	}
-	for i := range l.queues {
-		l.queues[i] = make([]*isa.Inst, 0, cfg.Entries)
-	}
-	return l
 }
 
 func (l *latFIFO) Name() string          { return "LatFIFO" }
@@ -56,68 +48,28 @@ func (l *latFIFO) Geometry() power.Geometry {
 // shared Estimator at dispatch).
 func (l *latFIFO) Dispatch(env Env, in *isa.Inst) bool {
 	best, bestTail := -1, int64(-1)
-	empty := -1
-	for qi := range l.queues {
-		q := l.queues[qi]
-		if len(q) == 0 {
-			if empty < 0 {
-				empty = qi
-			}
+	for q := range l.heads {
+		t := l.tail(q)
+		if t == nil || l.full(q) {
 			continue
 		}
-		if len(q) >= l.cfg.Entries {
-			continue
-		}
-		tailEst := q[len(q)-1].EstIssue
-		if tailEst <= in.EstIssue-1 && tailEst > bestTail {
-			best, bestTail = qi, tailEst
+		if t.EstIssue <= in.EstIssue-1 && t.EstIssue > bestTail {
+			best, bestTail = q, t.EstIssue
 		}
 	}
 	if best < 0 {
-		best = empty
+		if best = l.firstEmpty(); best < 0 {
+			return false
+		}
 	}
-	if best < 0 {
-		return false
-	}
-	in.QueueID = best
-	l.queues[best] = append(l.queues[best], in)
-	l.occ++
+	l.push(best, in)
 	l.ev.FIFOWrites++
 	return true
 }
 
 // Issue mirrors issueFIFO: ready heads issue oldest-first.
 func (l *latFIFO) Issue(env Env, budget int) int {
-	l.heads = l.heads[:0]
-	for qi := range l.queues {
-		if len(l.queues[qi]) == 0 {
-			continue
-		}
-		head := l.queues[qi][0]
-		l.ev.RegsReadyReads += uint64(head.NumSources())
-		if OperandsReady(env, head) {
-			l.heads = append(l.heads, head)
-		}
-	}
-	ageSorted(env, l.heads)
-
-	issued := 0
-	for _, in := range l.heads {
-		if issued >= budget {
-			break
-		}
-		if !env.TryIssue(in) {
-			continue
-		}
-		qi := in.QueueID
-		copy(l.queues[qi], l.queues[qi][1:])
-		l.queues[qi][len(l.queues[qi])-1] = nil
-		l.queues[qi] = l.queues[qi][:len(l.queues[qi])-1]
-		l.occ--
-		l.ev.FIFOReads++
-		issued++
-	}
-	return issued
+	return l.issue(env, budget, &l.ev)
 }
 
 func (l *latFIFO) OnComplete(Env, bool) {}

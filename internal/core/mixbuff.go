@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"distiq/internal/isa"
 	"distiq/internal/power"
 )
@@ -26,16 +28,30 @@ const (
 	codeNotReady  = 3 // paper's 11
 )
 
-// chainState is one chain of one queue: a saturating down-counter tracking
-// when the last issued instruction of the chain completes, plus allocation
-// bookkeeping.
+// chainState is one chain of one queue: the absolute cycle the result of
+// its last issued instruction becomes usable (the 2-bit code is derived
+// from it against the current cycle, so no per-cycle countdown exists),
+// the FIFO of its waiting instructions, and allocation bookkeeping. A
+// chain is busy while its FIFO holds instructions.
 type chainState struct {
-	busy       bool
-	gen        uint32 // generation, invalidates stale map entries
-	lastSeq    uint64 // youngest instruction dispatched into the chain
-	pending    int    // instructions of this chain still in the queue
-	countdown  int    // cycles until the last issued instruction's result
-	readySince int64  // cycle the countdown reached zero
+	readyAt    int64      // cycle the last issued instruction's result is usable
+	head, tail int        // slots of the oldest and youngest waiting instruction, -1 when none
+	headReady  readyCache // cached operand ready cycles of the head
+	lastSeq    uint64     // youngest instruction dispatched into the chain
+}
+
+// code returns the 2-bit compressed latency code of the chain at cycle
+// now. With the FlatSelectPriority ablation, every ready chain compresses
+// to the same class and selection degenerates to age order.
+func (ch *chainState) code(now int64, flat bool) int {
+	switch {
+	case ch.readyAt > now:
+		return codeNotReady
+	case flat || ch.readyAt < now:
+		return codeDelayed
+	default:
+		return codeFirstTime
+	}
 }
 
 // mixChainMapEntry records, per register, the queue/chain whose last
@@ -43,7 +59,6 @@ type chainState struct {
 type mixChainMapEntry struct {
 	queue, chain int
 	seq          uint64
-	gen          uint32
 	valid        bool
 }
 
@@ -51,18 +66,34 @@ type mixChainMapEntry struct {
 // buffer holding several dependence chains; a per-queue chain latency
 // table paces issue without wakeup, and the selection logic picks one
 // instruction per queue per cycle by minimum code‖age.
+//
+// Chains issue in order (all instructions of a chain share its code, so
+// the oldest always wins), so selection only compares chain heads, and
+// each queue's busy chains are kept in a bit set. The event counts of the
+// whole-table chain reads and writes and of the selection inputs follow
+// from occupancy.
 type mixBUFF struct {
 	opt    Options
 	cfg    DomainConfig
 	chainN int // chains per queue
+	words  int // busy-set words per queue
 
-	queues [][]*isa.Inst
-	chains [][]chainState
-	table  map[regKey]mixChainMapEntry
-	ev     power.Events
-	occ    int
+	chains []chainState // queue q owns chains[q*chainN : (q+1)*chainN]
+	busy   []uint64     // queue q owns busy[q*words : (q+1)*words]
+	n      []int        // instructions held per queue
+	// Instruction slots: queue q owns slots[q*Entries : (q+1)*Entries];
+	// next links each chain's FIFO and each queue's free list.
+	slots    []*isa.Inst
+	next     []int
+	free     []int // head of each queue's free-slot list
+	nonEmpty int   // queues holding at least one instruction
+	occ      int
 
-	lastTick   int64 // guards the once-per-cycle countdown update
+	// table is indexed by register file (0 integer, 1 FP) and logical
+	// register.
+	table [2][isa.NumLogicalRegs]mixChainMapEntry
+	ev    power.Events
+
 	candidates []*isa.Inst
 }
 
@@ -73,19 +104,30 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		// so entry count bounds the chains a queue can ever need.
 		chainN = cfg.Entries
 	}
+	words := (chainN + 63) / 64
 	m := &mixBUFF{
 		opt:        opt,
 		cfg:        cfg,
 		chainN:     chainN,
-		queues:     make([][]*isa.Inst, cfg.Queues),
-		chains:     make([][]chainState, cfg.Queues),
-		table:      make(map[regKey]mixChainMapEntry),
-		lastTick:   -1,
+		words:      words,
+		chains:     make([]chainState, cfg.Queues*chainN),
+		busy:       make([]uint64, cfg.Queues*words),
+		n:          make([]int, cfg.Queues),
+		slots:      make([]*isa.Inst, cfg.Total()),
+		next:       make([]int, cfg.Total()),
+		free:       make([]int, cfg.Queues),
 		candidates: make([]*isa.Inst, 0, cfg.Queues),
 	}
-	for i := range m.queues {
-		m.queues[i] = make([]*isa.Inst, 0, cfg.Entries)
-		m.chains[i] = make([]chainState, chainN)
+	for q := range m.free {
+		base := q * cfg.Entries
+		m.free[q] = base
+		for i := 0; i < cfg.Entries; i++ {
+			m.next[base+i] = base + i + 1
+		}
+		m.next[base+cfg.Entries-1] = -1
+	}
+	for i := range m.chains {
+		m.chains[i].head, m.chains[i].tail = -1, -1
 	}
 	return m
 }
@@ -107,6 +149,8 @@ func (m *mixBUFF) Geometry() power.Geometry {
 	}
 }
 
+func (m *mixBUFF) chain(q, c int) *chainState { return &m.chains[q*m.chainN+c] }
+
 // Dispatch implements the paper's placement: an instruction joins its
 // predecessor's chain only if the predecessor is the last instruction of
 // that chain and the queue has room; otherwise the lowest free chain
@@ -117,11 +161,11 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 
 	q, c := -1, -1
 	if in.Src1 != isa.NoReg {
-		q, c = m.appendTarget(regKey{in.Src1, in.Src1FP})
+		q, c = m.appendTarget(in.Src1, in.Src1FP)
 	}
 	// Stores chain by their address operand only (see issueFIFO.Dispatch).
 	if q < 0 && in.Src2 != isa.NoReg && in.Class != isa.Store {
-		q, c = m.appendTarget(regKey{in.Src2, in.Src2FP})
+		q, c = m.appendTarget(in.Src2, in.Src2FP)
 	}
 	if q < 0 {
 		q, c = m.allocChain(env)
@@ -130,35 +174,53 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 		}
 	}
 
-	ch := &m.chains[q][c]
-	ch.lastSeq = in.Seq
-	ch.pending++
-	in.QueueID, in.ChainID = q, c
-	m.queues[q] = append(m.queues[q], in)
-	m.occ++
+	m.enqueue(q, c, in)
 	m.ev.BuffWrites++
 	if in.HasDest() {
-		m.table[regKey{in.Dest, in.DestFP}] = mixChainMapEntry{
-			queue: q, chain: c, seq: in.Seq, gen: ch.gen, valid: true,
+		m.table[domIdx(in.DestFP)][in.Dest] = mixChainMapEntry{
+			queue: q, chain: c, seq: in.Seq, valid: true,
 		}
 		m.ev.QRenameWrites++
 	}
 	return true
 }
 
+// enqueue appends in to chain c of queue q, which must have room.
+func (m *mixBUFF) enqueue(q, c int, in *isa.Inst) {
+	s := m.free[q]
+	m.free[q] = m.next[s]
+	m.slots[s], m.next[s] = in, -1
+
+	ch := m.chain(q, c)
+	if ch.tail < 0 {
+		ch.head, ch.headReady = s, unread
+	} else {
+		m.next[ch.tail] = s
+	}
+	ch.tail = s
+	ch.lastSeq = in.Seq
+	in.QueueID, in.ChainID = q, c
+	if m.n[q] == 0 {
+		m.nonEmpty++
+	}
+	m.n[q]++
+	m.occ++
+}
+
 // appendTarget resolves a source register to an appendable (queue, chain):
-// the mapping must be current (generation matches), the producer must
-// still be the chain's last instruction, and the queue must have room.
-func (m *mixBUFF) appendTarget(k regKey) (int, int) {
-	e, ok := m.table[k]
-	if !ok || !e.valid {
+// the producer must still be the last instruction of a busy chain (a
+// freed or reallocated chain has none or another), and the queue must
+// have room.
+func (m *mixBUFF) appendTarget(reg int16, fp bool) (int, int) {
+	e := &m.table[domIdx(fp)][reg]
+	if !e.valid {
 		return -1, -1
 	}
-	ch := &m.chains[e.queue][e.chain]
-	if !ch.busy || ch.gen != e.gen || ch.lastSeq != e.seq {
+	ch := m.chain(e.queue, e.chain)
+	if ch.head < 0 || ch.lastSeq != e.seq {
 		return -1, -1
 	}
-	if len(m.queues[e.queue]) >= m.cfg.Entries {
+	if m.n[e.queue] >= m.cfg.Entries {
 		return -1, -1
 	}
 	return e.queue, e.chain
@@ -168,68 +230,36 @@ func (m *mixBUFF) appendTarget(k regKey) (int, int) {
 // (chain 0 of queue 0, chain 0 of queue 1, ..., chain 1 of queue 0, ...),
 // the paper's busy-chain balancing rule.
 func (m *mixBUFF) allocChain(env Env) (int, int) {
-	for c := 0; c < m.chainN; c++ {
-		for q := 0; q < m.cfg.Queues; q++ {
-			if m.chains[q][c].busy || len(m.queues[q]) >= m.cfg.Entries {
-				continue
-			}
-			ch := &m.chains[q][c]
-			ch.busy = true
-			ch.pending = 0
-			ch.countdown = 0
-			// A fresh chain's first instruction is "considered for
-			// the first time" at the next selection opportunity.
-			ch.readySince = env.Cycle() + 1
-			return q, c
-		}
-	}
-	return -1, -1
-}
-
-// tick advances every chain latency table once per cycle: all counters
-// decrement saturating at zero (the counter of a chain that issued an
-// instruction is reloaded at issue time instead).
-func (m *mixBUFF) tick(env Env) {
-	now := env.Cycle()
-	if now == m.lastTick {
-		return
-	}
-	m.lastTick = now
-	for q := range m.chains {
-		if len(m.queues[q]) == 0 {
+	bestQ, bestC := -1, m.chainN
+	for q, n := range m.n {
+		if n >= m.cfg.Entries {
 			continue
 		}
-		// Whole-table read + write, as the paper describes.
-		m.ev.ChainReads++
-		m.ev.ChainWrites++
-		for c := range m.chains[q] {
-			ch := &m.chains[q][c]
-			if !ch.busy || ch.countdown == 0 {
-				continue
-			}
-			ch.countdown--
-			if ch.countdown == 0 {
-				ch.readySince = now
+		if c := m.lowestFree(q); c < bestC {
+			bestQ, bestC = q, c
+		}
+	}
+	if bestQ < 0 {
+		return -1, -1
+	}
+	m.busy[bestQ*m.words+bestC/64] |= 1 << (bestC % 64)
+	// A fresh chain's first instruction is "considered for the first
+	// time" at the next selection opportunity.
+	m.chain(bestQ, bestC).readyAt = env.Cycle() + 1
+	return bestQ, bestC
+}
+
+// lowestFree returns queue q's lowest free chain, or chainN when all are
+// busy.
+func (m *mixBUFF) lowestFree(q int) int {
+	for w := 0; w < m.words; w++ {
+		if free := ^m.busy[q*m.words+w]; free != 0 {
+			if c := w*64 + bits.TrailingZeros64(free); c < m.chainN {
+				return c
 			}
 		}
 	}
-}
-
-// code returns the 2-bit compressed latency code of a chain. With the
-// FlatSelectPriority ablation, every ready chain compresses to the same
-// class and selection degenerates to age order.
-func (m *mixBUFF) code(q, c int, now int64) int {
-	ch := &m.chains[q][c]
-	switch {
-	case ch.countdown > 0:
-		return codeNotReady
-	case m.cfg.FlatSelectPriority:
-		return codeDelayed
-	case ch.readySince >= now:
-		return codeFirstTime
-	default:
-		return codeDelayed
-	}
+	return m.chainN
 }
 
 // Issue selects at most one instruction per queue by minimum code‖age,
@@ -238,44 +268,50 @@ func (m *mixBUFF) code(q, c int, now int64) int {
 // instruction that cannot issue keeps its entry; its chain transitions to
 // the delayed code, implementing the paper's first-time priority.
 func (m *mixBUFF) Issue(env Env, budget int) int {
-	m.tick(env)
-	now := env.Cycle()
+	// Every non-empty queue reads and rewrites its whole chain latency
+	// table and drives its selection logic over all its entries.
+	nq := uint64(m.nonEmpty)
+	m.ev.ChainReads += nq
+	m.ev.ChainWrites += nq
+	m.ev.SelectOps += nq
+	m.ev.SelectEntries += uint64(m.occ)
 
+	now := env.Cycle()
 	m.candidates = m.candidates[:0]
-	for q := range m.queues {
-		entries := m.queues[q]
-		if len(entries) == 0 {
+	for q, n := range m.n {
+		if n == 0 {
 			continue
 		}
-		m.ev.SelectOps++
-		m.ev.SelectEntries += uint64(len(entries))
-
-		var best *isa.Inst
+		var best *chainState
 		bestCode := codeNotReady
-		for _, in := range entries {
-			code := m.code(q, in.ChainID, now)
-			if code == codeNotReady {
-				continue
-			}
-			if best == nil || code < bestCode ||
-				(code == bestCode && env.Older(in.AgeID, best.AgeID)) {
-				best, bestCode = in, code
+		for w := 0; w < m.words; w++ {
+			for b := m.busy[q*m.words+w]; b != 0; b &= b - 1 {
+				ch := m.chain(q, w*64+bits.TrailingZeros64(b))
+				code := ch.code(now, m.cfg.FlatSelectPriority)
+				if code == codeNotReady {
+					continue
+				}
+				if best == nil || code < bestCode ||
+					(code == bestCode && older(m.slots[ch.head], m.slots[best.head])) {
+					best, bestCode = ch, code
+				}
 			}
 		}
 		if best == nil {
 			continue
 		}
+		in := m.slots[best.head]
 		m.ev.SelRegWrites++
 		// The single selected instruction consults the ready-bit
 		// table (the estimation may be wrong for cross-queue or
 		// cache-miss dependences).
-		m.ev.RegsReadyReads += uint64(best.NumSources())
-		if OperandsReady(env, best) {
-			m.candidates = append(m.candidates, best)
+		m.ev.RegsReadyReads += uint64(in.NumSources())
+		if best.headReady.at(env, in) <= now {
+			m.candidates = append(m.candidates, in)
 		}
 	}
 
-	ageSorted(env, m.candidates)
+	ageSorted(m.candidates)
 	issued := 0
 	for _, in := range m.candidates {
 		if issued >= budget {
@@ -284,38 +320,33 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 		if !env.TryIssue(in) {
 			continue
 		}
-		m.remove(in)
+		m.remove(in, now)
 		m.ev.BuffReads++
 		issued++
 	}
 	return issued
 }
 
-// remove deletes an issued instruction from its queue and updates its
-// chain: the countdown is reloaded with the instruction's latency, and the
-// chain is freed (generation bumped) once no instructions remain.
-func (m *mixBUFF) remove(in *isa.Inst) {
+// remove deletes an issued instruction, the head of its chain, and
+// updates the chain: its ready cycle becomes the instruction's result
+// cycle, and the chain is freed once no instructions remain.
+func (m *mixBUFF) remove(in *isa.Inst, now int64) {
 	q := in.QueueID
-	entries := m.queues[q]
-	for i, e := range entries {
-		if e == in {
-			entries[i] = entries[len(entries)-1]
-			entries[len(entries)-1] = nil
-			m.queues[q] = entries[:len(entries)-1]
-			break
-		}
+	ch := m.chain(q, in.ChainID)
+	s := ch.head
+	ch.head, ch.headReady = m.next[s], unread
+	m.slots[s], m.next[s] = nil, m.free[q]
+	m.free[q] = s
+	m.n[q]--
+	if m.n[q] == 0 {
+		m.nonEmpty--
 	}
 	m.occ--
 
-	ch := &m.chains[q][in.ChainID]
-	ch.pending--
-	ch.countdown = latencyOf(in, m.opt.Latencies, m.opt.MemHitLat)
-	if ch.countdown == 0 {
-		ch.readySince = 0 // immediately delayed-class; not expected with real latencies
-	}
-	if ch.pending == 0 && ch.lastSeq == in.Seq {
-		ch.busy = false
-		ch.gen++
+	ch.readyAt = now + int64(latencyOf(in, m.opt.Latencies, m.opt.MemHitLat))
+	if ch.head < 0 {
+		ch.tail = -1
+		m.busy[q*m.words+in.ChainID/64] &^= 1 << (in.ChainID % 64)
 	}
 }
 
@@ -325,10 +356,7 @@ func (m *mixBUFF) OnComplete(Env, bool) {}
 // clears the equivalent table on mispredictions; KeepMapOnMispredict
 // retains it for the ablation study).
 func (m *mixBUFF) OnMispredictResolved() {
-	if m.cfg.KeepMapOnMispredict {
-		return
-	}
-	for k := range m.table {
-		delete(m.table, k)
+	if !m.cfg.KeepMapOnMispredict {
+		m.table = [2][isa.NumLogicalRegs]mixChainMapEntry{}
 	}
 }

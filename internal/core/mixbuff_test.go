@@ -19,6 +19,17 @@ func fpInst(seq uint64, src1, src2, dest int16) *isa.Inst {
 	return mkInst(seq, isa.FPAdd, src1, src2, dest)
 }
 
+// place puts in at the tail of chain c of queue q, marking the chain busy,
+// bypassing the dispatch heuristics.
+func place(m *mixBUFF, q, c int, in *isa.Inst) {
+	m.busy[q*m.words+c/64] |= 1 << (c % 64)
+	m.enqueue(q, c, in)
+}
+
+func (m *mixBUFF) chainBusy(q, c int) bool {
+	return m.busy[q*m.words+c/64]&(1<<(c%64)) != 0
+}
+
 func TestMixBUFFDependentJoinsChain(t *testing.T) {
 	m := newTestMixBUFF(2, 8, 4)
 	env := newFakeEnv()
@@ -92,22 +103,20 @@ func TestMixBUFFChainPacingByLatency(t *testing.T) {
 	env := newFakeEnv()
 	prod := fpInst(0, isa.NoReg, isa.NoReg, 7)
 	cons := fpInst(1, 7, isa.NoReg, 8)
+	env.block(true, 7) // renamed destinations: not ready until issue
+	env.block(true, 8)
 	m.Dispatch(env, prod)
 	m.Dispatch(env, cons)
-	env.block(true, 8) // nothing beyond these two
 
 	env.cycle = 1
 	if n := m.Issue(env, 8); n != 1 || env.issued[0] != prod {
 		t.Fatal("producer did not issue first")
 	}
-	// Result usable at cycle 3 (issue 1 + latency 2). The consumer's
-	// operand becomes ready then; unblock the env model accordingly.
-	env.block(true, 7)
+	// Result usable at cycle 3 (issue 1 + latency 2).
 	env.cycle = 2
 	if n := m.Issue(env, 8); n != 0 {
-		t.Fatal("consumer issued before chain countdown expired")
+		t.Fatal("consumer issued before the chain's result cycle")
 	}
-	env.unblock(true, 7)
 	env.cycle = 3
 	if n := m.Issue(env, 8); n != 1 || env.issued[1] != cons {
 		t.Fatal("consumer did not issue when chain became ready")
@@ -116,9 +125,9 @@ func TestMixBUFFChainPacingByLatency(t *testing.T) {
 
 func TestSelectPaperExample(t *testing.T) {
 	// Reproduces Figure 5: one queue holding six instructions across
-	// four chains. Chain latency counters: chain 0 finished (delayed
-	// code 01), chains 1 and 2 finishing now (first-time code 00),
-	// chain 3 four cycles away (code 11). Ages follow the figure:
+	// four chains. Chain ready cycles: chain 0 finished (delayed code
+	// 01), chains 1 and 2 finishing now (first-time code 00), chain 3
+	// four cycles away (code 11). Ages follow the figure:
 	// i..i+5 = 5,6,7,8,9,10 with entries
 	//   i   -> chain 0, i+1 -> chain 1, i+2 -> chain 0,
 	//   i+3 -> chain 2, i+4 -> chain 2, i+5 -> chain 3.
@@ -130,33 +139,66 @@ func TestSelectPaperExample(t *testing.T) {
 	mkEntry := func(seq uint64, age uint32, chain int) *isa.Inst {
 		in := fpInst(seq, isa.NoReg, isa.NoReg, isa.NoReg)
 		in.AgeID = age
-		in.QueueID, in.ChainID = 0, chain
-		m.queues[0] = append(m.queues[0], in)
-		m.chains[0][chain].busy = true
-		m.chains[0][chain].pending++
-		m.occ++
+		place(m, 0, chain, in)
 		return in
 	}
-	mkEntry(0, 5, 0)       // i
-	i1 := mkEntry(1, 6, 1) // i+1
-	mkEntry(2, 7, 0)       // i+2
-	mkEntry(3, 8, 2)       // i+3
-	mkEntry(4, 9, 2)       // i+4
-	mkEntry(5, 10, 3)      // i+5
-	m.lastTick = env.cycle // suppress tick; codes set manually below
-	m.chains[0][0].countdown = 0
-	m.chains[0][0].readySince = 90 // finished a while ago: delayed
-	m.chains[0][1].countdown = 0
-	m.chains[0][1].readySince = 100 // first time this cycle
-	m.chains[0][2].countdown = 0
-	m.chains[0][2].readySince = 100
-	m.chains[0][3].countdown = 4 // not ready
+	mkEntry(0, 5, 0)            // i
+	i1 := mkEntry(1, 6, 1)      // i+1
+	mkEntry(2, 7, 0)            // i+2
+	mkEntry(3, 8, 2)            // i+3
+	mkEntry(4, 9, 2)            // i+4
+	mkEntry(5, 10, 3)           // i+5
+	m.chain(0, 0).readyAt = 90  // finished a while ago: delayed
+	m.chain(0, 1).readyAt = 100 // first time this cycle
+	m.chain(0, 2).readyAt = 100
+	m.chain(0, 3).readyAt = 104 // not ready
 
 	if n := m.Issue(env, 8); n != 1 {
 		t.Fatalf("issued %d, want 1", n)
 	}
 	if env.issued[0] != i1 {
 		t.Fatalf("selected seq %d, want i+1", env.issued[0].Seq)
+	}
+}
+
+func TestMixBUFFChainCodeFollowsReadyCycle(t *testing.T) {
+	// A chain whose instruction of latency L issued at cycle t reads
+	// not-ready through t+L-1, first-time at t+L and delayed after.
+	for _, tc := range []struct {
+		class isa.Class
+		lat   int64
+	}{{isa.FPAdd, 2}, {isa.FPMult, 4}, {isa.FPDiv, 12}} {
+		m := newTestMixBUFF(1, 8, 4)
+		env := newFakeEnv()
+		a := mkInst(0, tc.class, isa.NoReg, isa.NoReg, 1)
+		b := mkInst(1, tc.class, 1, isa.NoReg, 2) // keeps the chain busy
+		m.Dispatch(env, a)
+		m.Dispatch(env, b)
+		const t0 = 7
+		env.cycle = t0
+		if n := m.Issue(env, 8); n != 1 || env.issued[0] != a {
+			t.Fatalf("%v: producer did not issue", tc.class)
+		}
+		ch := m.chain(a.QueueID, a.ChainID)
+		for now := int64(t0); now < t0+tc.lat; now++ {
+			if c := ch.code(now, false); c != codeNotReady {
+				t.Fatalf("%v: cycle t+%d code %d, want not-ready", tc.class, now-t0, c)
+			}
+		}
+		if c := ch.code(t0+tc.lat, false); c != codeFirstTime {
+			t.Fatalf("%v: cycle t+L code %d, want first-time", tc.class, c)
+		}
+		for now := t0 + tc.lat + 1; now < t0+tc.lat+4; now++ {
+			if c := ch.code(now, false); c != codeDelayed {
+				t.Fatalf("%v: cycle t+%d code %d, want delayed", tc.class, now-t0, c)
+			}
+			if c := ch.code(now, true); c != codeDelayed {
+				t.Fatalf("%v: flat priority code %d, want delayed", tc.class, c)
+			}
+		}
+		if c := ch.code(t0+tc.lat, true); c != codeDelayed {
+			t.Fatalf("%v: flat priority first-time code %d, want delayed", tc.class, c)
+		}
 	}
 }
 
@@ -168,15 +210,12 @@ func TestMixBUFFFirstTimeBeatsDelayed(t *testing.T) {
 	env.cycle = 50
 	old := fpInst(0, isa.NoReg, isa.NoReg, isa.NoReg)
 	old.AgeID = 1
-	old.QueueID, old.ChainID = 0, 0
 	young := fpInst(1, isa.NoReg, isa.NoReg, isa.NoReg)
 	young.AgeID = 2
-	young.QueueID, young.ChainID = 0, 1
-	m.queues[0] = append(m.queues[0], old, young)
-	m.chains[0][0] = chainState{busy: true, pending: 1, countdown: 0, readySince: 10}
-	m.chains[0][1] = chainState{busy: true, pending: 1, countdown: 0, readySince: 50}
-	m.occ = 2
-	m.lastTick = env.cycle
+	place(m, 0, 0, old)
+	place(m, 0, 1, young)
+	m.chain(0, 0).readyAt = 10
+	m.chain(0, 1).readyAt = 50
 
 	m.Issue(env, 8)
 	if len(env.issued) != 1 || env.issued[0] != young {
@@ -191,17 +230,18 @@ func TestMixBUFFChainFreedAndGenerationGuards(t *testing.T) {
 	m.Dispatch(env, prod)
 	env.cycle = 1
 	m.Issue(env, 8) // issues prod; chain 0 now empty and freed
-	if m.chains[0][0].busy {
+	if m.chainBusy(0, 0) {
 		t.Fatal("chain not freed after last instruction issued")
 	}
-	// A new independent instruction reuses chain 0 (new generation).
+	// A new independent instruction reuses chain 0.
 	other := fpInst(1, isa.NoReg, isa.NoReg, 9)
 	m.Dispatch(env, other)
 	if other.ChainID != 0 {
 		t.Fatalf("expected chain 0 reuse, got %d", other.ChainID)
 	}
 	// A consumer of the *old* chain's register must not append to the
-	// recycled chain: the generation check forces a fresh chain.
+	// recycled chain: its last instruction is another one, so the
+	// consumer takes a fresh chain.
 	cons := fpInst(2, 7, isa.NoReg, 8)
 	m.Dispatch(env, cons)
 	if cons.ChainID == 0 {
@@ -212,7 +252,8 @@ func TestMixBUFFChainFreedAndGenerationGuards(t *testing.T) {
 func TestMixBUFFAppendToChainWithIssuedTail(t *testing.T) {
 	// The chain's last instruction has issued but the chain is still
 	// busy (another instruction pending): a consumer of the issued
-	// instruction may still append; pacing comes from the countdown.
+	// instruction may still append; pacing comes from the chain's
+	// ready cycle.
 	m := newTestMixBUFF(1, 8, 2)
 	env := newFakeEnv()
 	a := fpInst(0, isa.NoReg, isa.NoReg, 1)

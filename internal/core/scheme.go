@@ -18,6 +18,7 @@ import (
 
 	"distiq/internal/isa"
 	"distiq/internal/power"
+	"distiq/internal/rename"
 )
 
 // Env is the pipeline interface available to issue schemes.
@@ -27,6 +28,13 @@ type Env interface {
 	// OperandReady reports whether a physical register's value is
 	// usable this cycle through the bypass network.
 	OperandReady(fp bool, preg int16) bool
+	// OperandReadyAt returns the cycle a physical register's value
+	// becomes usable, or NotYet while its producer has not issued. A
+	// live register's ready cycle is set once, when its producer issues,
+	// and is never earlier than the cycle after that issue, so a
+	// scheme may cache any answer other than NotYet for as long as a
+	// consumer of the register is in flight.
+	OperandReadyAt(fp bool, preg int16) int64
 	// TryIssue attempts to issue the instruction this cycle: it checks
 	// operand readiness, memory ordering (loads), issue width and
 	// functional-unit availability (honoring the distributed binding
@@ -37,6 +45,10 @@ type Env interface {
 	// Older reports whether age identifier a is older than b.
 	Older(a, b uint32) bool
 }
+
+// NotYet is OperandReadyAt's answer for a register whose producer has not
+// issued.
+const NotYet = rename.FarFuture
 
 // Scheme is one domain's issue-queue organization.
 type Scheme interface {
@@ -222,6 +234,69 @@ func OperandsReady(env Env, in *isa.Inst) bool {
 		return false
 	}
 	return true
+}
+
+// readyCache holds the ready cycles of one instruction's issue operands
+// (every register source except a store's data, as in OperandsReady).
+// Each is read from the Env until its producer has issued, and never
+// again after.
+type readyCache struct{ src1, src2 int64 }
+
+// unread is the state of a readyCache that has read nothing yet.
+var unread = readyCache{NotYet, NotYet}
+
+// at returns the cycle every issue operand of in is usable, or NotYet
+// while one of their producers has not issued. The second operand is
+// read only once the first is known.
+func (c *readyCache) at(env Env, in *isa.Inst) int64 {
+	if c.src1 == NotYet {
+		c.src1 = 0
+		if in.PSrc1 != isa.NoReg {
+			if c.src1 = env.OperandReadyAt(in.Src1FP, in.PSrc1); c.src1 == NotYet {
+				return NotYet
+			}
+		}
+	}
+	if c.src2 == NotYet {
+		c.src2 = 0
+		if in.PSrc2 != isa.NoReg && in.Class != isa.Store {
+			c.src2 = env.OperandReadyAt(in.Src2FP, in.PSrc2)
+		}
+	}
+	return max(c.src1, c.src2)
+}
+
+// producerMap maps a register (file, physical index) to 1 + the slot of
+// its unissued producer in a scheme, 0 when the scheme holds none.
+type producerMap [2][isa.NumPhysicalRegs]int32
+
+// cell returns a pointer to a register's entry, or nil for NoReg and
+// registers outside the map.
+func (m *producerMap) cell(fp bool, preg int16) *int32 {
+	if preg < 0 || int(preg) >= isa.NumPhysicalRegs {
+		return nil
+	}
+	return &m[domIdx(fp)][preg]
+}
+
+// older reports whether a is older than b. Seq numbers follow fetch order,
+// which is dispatch and age order, so they rank exactly as the age
+// identifiers do without the modular compare.
+func older(a, b *isa.Inst) bool { return a.Seq < b.Seq }
+
+// ageSorted sorts candidate instructions oldest first. The slices are tiny
+// (at most one candidate per queue), so an insertion sort beats
+// sort.Slice and, unlike it, never allocates.
+func ageSorted(ins []*isa.Inst) {
+	for i := 1; i < len(ins); i++ {
+		in := ins[i]
+		j := i - 1
+		for j >= 0 && older(in, ins[j]) {
+			ins[j+1] = ins[j]
+			j--
+		}
+		ins[j+1] = in
+	}
 }
 
 // latencyOf returns the execution latency a scheme assumes for pacing

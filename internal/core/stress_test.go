@@ -7,12 +7,13 @@ import (
 	"distiq/internal/rng"
 )
 
-// stressEnv is an Env whose operand readiness resolves a fixed number of
-// cycles after the producer issues, emulating the pipeline's bypass
-// behaviour without the pipeline.
+// stressEnv is an Env whose operand readiness follows the pipeline's
+// rules without the pipeline: a register allocated to a dispatched
+// producer reads NotYet until the producer issues, then becomes usable a
+// fixed latency later.
 type stressEnv struct {
 	cycle   int64
-	readyAt map[[2]int32]int64 // (dom,preg) -> cycle usable
+	readyAt map[[2]int32]int64 // (dom,preg) -> cycle usable or NotYet
 	issued  []*isa.Inst
 	budget  int
 }
@@ -31,9 +32,21 @@ func key(fp bool, preg int16) [2]int32 {
 
 func (e *stressEnv) Cycle() int64 { return e.cycle }
 
+// OperandReadyAt treats unknown registers as architecturally ready.
+func (e *stressEnv) OperandReadyAt(fp bool, preg int16) int64 {
+	return e.readyAt[key(fp, preg)]
+}
+
 func (e *stressEnv) OperandReady(fp bool, preg int16) bool {
-	at, ok := e.readyAt[key(fp, preg)]
-	return !ok || at <= e.cycle // unknown registers are architecturally ready
+	return e.OperandReadyAt(fp, preg) <= e.cycle
+}
+
+// allocate renames in's destination: its value is not ready until in
+// issues.
+func (e *stressEnv) allocate(in *isa.Inst) {
+	if in.PDest != isa.NoReg {
+		e.readyAt[key(in.DestFP, in.PDest)] = NotYet
+	}
 }
 
 func (e *stressEnv) TryIssue(in *isa.Inst) bool {
@@ -149,7 +162,7 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 	seq := uint64(0)
 	inFlight := map[uint64]bool{}
 	issuedSeqs := map[uint64]bool{}
-	var lastDest int16 = isa.NoReg
+	var lastDest, lastPDest int16 = isa.NoReg, isa.NoReg
 
 	for env.cycle = 1; dispatched < total || len(inFlight) > 0; env.cycle++ {
 		if env.cycle > 20*total {
@@ -170,17 +183,21 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 			delete(inFlight, in.Seq)
 		}
 		// Dispatch phase: up to 4 per cycle, random dependence on the
-		// previous destination half the time.
+		// previous destination half the time. Destinations rotate
+		// through the physical registers, as renaming would, so none is
+		// reused while a consumer of its old value can be in flight.
 		for k := 0; k < 4 && dispatched < total; k++ {
-			var src1 int16 = isa.NoReg
+			var src1, psrc1 int16 = isa.NoReg, isa.NoReg
 			if lastDest != isa.NoReg && r.Bool(0.5) {
-				src1 = lastDest
+				src1, psrc1 = lastDest, lastPDest
 			}
 			dest := int16(r.Intn(32))
 			in := mkInst(seq, isa.FPAdd, src1, isa.NoReg, dest)
+			in.PSrc1, in.PDest = psrc1, int16(seq%isa.NumPhysicalRegs)
 			if est != nil {
 				est.OnDispatch(in, env.cycle)
 			}
+			env.allocate(in)
 			if !s.Dispatch(env, in) {
 				if s.Occupancy() == 0 {
 					t.Fatalf("%s: dispatch stalled on empty scheme", s.Name())
@@ -190,7 +207,7 @@ func stress(t *testing.T, s Scheme, est *Estimator) {
 			inFlight[in.Seq] = true
 			seq++
 			dispatched++
-			lastDest = dest
+			lastDest, lastPDest = dest, in.PDest
 			if s.Occupancy() > s.Capacity() {
 				t.Fatalf("%s: occupancy %d exceeds capacity %d",
 					s.Name(), s.Occupancy(), s.Capacity())

@@ -94,6 +94,13 @@ func (c Config) Validate() error {
 	if c.DecodeDepth < 1 {
 		return fmt.Errorf("pipeline: decode depth must be at least 1")
 	}
+	// The issue schemes rely on a result never being usable in its
+	// producer's issue cycle.
+	for cl, l := range c.Latencies {
+		if l < 1 {
+			return fmt.Errorf("pipeline: %v latency must be at least 1, got %d", isa.Class(cl), l)
+		}
+	}
 	return c.IQ.Validate()
 }
 

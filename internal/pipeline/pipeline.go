@@ -123,6 +123,12 @@ func (p *Pipeline) OperandReady(fp bool, preg int16) bool {
 	return p.regs[regDomain(fp)].Ready(preg, p.cycle)
 }
 
+// OperandReadyAt implements core.Env. The register file's far-future
+// mark for a register whose producer has not issued is core.NotYet.
+func (p *Pipeline) OperandReadyAt(fp bool, preg int16) int64 {
+	return p.regs[regDomain(fp)].ReadyAt(preg)
+}
+
 // Older implements core.Env.
 func (p *Pipeline) Older(a, b uint32) bool { return p.rob.Older(a, b) }
 
@@ -139,7 +145,11 @@ func (p *Pipeline) TryIssue(in *isa.Inst) bool {
 	if p.widthUsed[d] >= p.issueWidth(d) {
 		return false
 	}
-	if !core.OperandsReady(p, in) {
+	if in.PSrc1 != isa.NoReg && !p.regs[regDomain(in.Src1FP)].Ready(in.PSrc1, p.cycle) {
+		return false
+	}
+	// A store's data operand is consumed at commit (core.OperandsReady).
+	if in.PSrc2 != isa.NoReg && in.Class != isa.Store && !p.regs[regDomain(in.Src2FP)].Ready(in.PSrc2, p.cycle) {
 		return false
 	}
 	var fwdStore *isa.Inst
