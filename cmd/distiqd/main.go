@@ -65,7 +65,7 @@ func main() {
 		os.Exit(cliutil.ExitCode(err))
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv}
+	httpSrv := newHTTPServer(addr, srv, defaultTimeouts)
 	// The same signal context the iq* CLIs use: SIGINT/SIGTERM starts a
 	// graceful shutdown (listener closes, in-flight sweeps drain), and a
 	// second signal kills the process outright.
@@ -103,6 +103,35 @@ func main() {
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "distiqd: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// serverTimeouts bounds how long one connection may hold the server
+// without progress.
+type serverTimeouts struct {
+	readHeader, read, idle time.Duration
+}
+
+// defaultTimeouts drops a client that trickles its request headers or
+// body (a slow-loris connection) and reclaims idle keep-alive
+// connections. Requests are small JSON specs, so a minute covers any
+// honest upload.
+var defaultTimeouts = serverTimeouts{
+	readHeader: 10 * time.Second,
+	read:       time.Minute,
+	idle:       2 * time.Minute,
+}
+
+// newHTTPServer returns the listener-side server around h. No write
+// timeout is set: an NDJSON stream legitimately stays open for as long as
+// its sweep runs.
+func newHTTPServer(addr string, h http.Handler, t serverTimeouts) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: t.readHeader,
+		ReadTimeout:       t.read,
+		IdleTimeout:       t.idle,
 	}
 }
 

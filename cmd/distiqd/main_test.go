@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -125,5 +127,52 @@ func TestSetupServesSweeps(t *testing.T) {
 			t.Fatalf("no lifecycle log; stderr: %q", loud.String())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func TestServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	s := newHTTPServer(":0", h, defaultTimeouts)
+	if s.ReadHeaderTimeout <= 0 || s.ReadTimeout <= 0 || s.IdleTimeout <= 0 {
+		t.Fatalf("timeouts unset: header %v read %v idle %v", s.ReadHeaderTimeout, s.ReadTimeout, s.IdleTimeout)
+	}
+	if s.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want none (streams stay open for a whole sweep)", s.WriteTimeout)
+	}
+}
+
+// TestSlowHeadersDisconnected opens a connection that never finishes its
+// request headers: the server must drop it within the header bound.
+func TestSlowHeadersDisconnected(t *testing.T) {
+	const bound = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newHTTPServer("", http.NewServeMux(), serverTimeouts{readHeader: bound, read: time.Minute, idle: time.Minute})
+	go s.Serve(ln) //nolint:errcheck // ends with Close below
+	defer s.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: distiqd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * bound)) //nolint:errcheck // a failed Read reports it
+	n, err := conn.Read(make([]byte, 512))
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v", elapsed)
+	}
+	if err == nil {
+		t.Fatalf("server answered %d bytes to an unfinished request", n)
+	}
+	if elapsed < bound {
+		t.Fatalf("dropped after %v, before the %v bound", elapsed, bound)
 	}
 }
