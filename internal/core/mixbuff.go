@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"distiq/internal/isa"
@@ -69,9 +70,11 @@ type mixChainMapEntry struct {
 //
 // Chains issue in order (all instructions of a chain share its code, so
 // the oldest always wins), so selection only compares chain heads, and
-// each queue's busy chains are kept in a bit set. The event counts of the
-// whole-table chain reads and writes and of the selection inputs follow
-// from occupancy.
+// each queue's busy chains are kept in a bit set. A queue's selection
+// changes only when an instruction enters or leaves it or a chain's code
+// changes with time, so it is kept until the next of those events. The
+// event counts of the whole-table chain reads and writes and of the
+// selection inputs follow from occupancy.
 type mixBUFF struct {
 	opt    Options
 	cfg    DomainConfig
@@ -80,13 +83,12 @@ type mixBUFF struct {
 
 	chains []chainState // queue q owns chains[q*chainN : (q+1)*chainN]
 	busy   []uint64     // queue q owns busy[q*words : (q+1)*words]
-	n      []int        // instructions held per queue
+	qs     []mixQueue
 	// Instruction slots: queue q owns slots[q*Entries : (q+1)*Entries];
 	// next links each chain's FIFO and each queue's free list.
 	slots    []*isa.Inst
 	next     []int
-	free     []int // head of each queue's free-slot list
-	nonEmpty int   // queues holding at least one instruction
+	nonEmpty int // queues holding at least one instruction
 	occ      int
 
 	// table is indexed by register file (0 integer, 1 FP) and logical
@@ -95,6 +97,16 @@ type mixBUFF struct {
 	ev    power.Events
 
 	candidates []*isa.Inst
+}
+
+// mixQueue is one queue's occupancy, free-slot list and kept selection.
+type mixQueue struct {
+	n    int // instructions held
+	free int // head of the free-slot list
+	// sel is the chain selection picks (nil for none) at every cycle
+	// before selUntil; selUntil is 0 once the queue has changed.
+	sel      *chainState
+	selUntil int64
 }
 
 func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
@@ -112,15 +124,14 @@ func newMixBUFF(cfg DomainConfig, opt Options) *mixBUFF {
 		words:      words,
 		chains:     make([]chainState, cfg.Queues*chainN),
 		busy:       make([]uint64, cfg.Queues*words),
-		n:          make([]int, cfg.Queues),
+		qs:         make([]mixQueue, cfg.Queues),
 		slots:      make([]*isa.Inst, cfg.Total()),
 		next:       make([]int, cfg.Total()),
-		free:       make([]int, cfg.Queues),
 		candidates: make([]*isa.Inst, 0, cfg.Queues),
 	}
-	for q := range m.free {
+	for q := range m.qs {
 		base := q * cfg.Entries
-		m.free[q] = base
+		m.qs[q].free = base
 		for i := 0; i < cfg.Entries; i++ {
 			m.next[base+i] = base + i + 1
 		}
@@ -187,8 +198,9 @@ func (m *mixBUFF) Dispatch(env Env, in *isa.Inst) bool {
 
 // enqueue appends in to chain c of queue q, which must have room.
 func (m *mixBUFF) enqueue(q, c int, in *isa.Inst) {
-	s := m.free[q]
-	m.free[q] = m.next[s]
+	mq := &m.qs[q]
+	s := mq.free
+	mq.free = m.next[s]
 	m.slots[s], m.next[s] = in, -1
 
 	ch := m.chain(q, c)
@@ -200,10 +212,11 @@ func (m *mixBUFF) enqueue(q, c int, in *isa.Inst) {
 	ch.tail = s
 	ch.lastSeq = in.Seq
 	in.QueueID, in.ChainID = q, c
-	if m.n[q] == 0 {
+	if mq.n == 0 {
 		m.nonEmpty++
 	}
-	m.n[q]++
+	mq.n++
+	mq.selUntil = 0
 	m.occ++
 }
 
@@ -220,7 +233,7 @@ func (m *mixBUFF) appendTarget(reg int16, fp bool) (int, int) {
 	if ch.head < 0 || ch.lastSeq != e.seq {
 		return -1, -1
 	}
-	if m.n[e.queue] >= m.cfg.Entries {
+	if m.qs[e.queue].n >= m.cfg.Entries {
 		return -1, -1
 	}
 	return e.queue, e.chain
@@ -231,8 +244,8 @@ func (m *mixBUFF) appendTarget(reg int16, fp bool) (int, int) {
 // the paper's busy-chain balancing rule.
 func (m *mixBUFF) allocChain(env Env) (int, int) {
 	bestQ, bestC := -1, m.chainN
-	for q, n := range m.n {
-		if n >= m.cfg.Entries {
+	for q := range m.qs {
+		if m.qs[q].n >= m.cfg.Entries {
 			continue
 		}
 		if c := m.lowestFree(q); c < bestC {
@@ -278,25 +291,11 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 
 	now := env.Cycle()
 	m.candidates = m.candidates[:0]
-	for q, n := range m.n {
-		if n == 0 {
+	for q := range m.qs {
+		if m.qs[q].n == 0 {
 			continue
 		}
-		var best *chainState
-		bestCode := codeNotReady
-		for w := 0; w < m.words; w++ {
-			for b := m.busy[q*m.words+w]; b != 0; b &= b - 1 {
-				ch := m.chain(q, w*64+bits.TrailingZeros64(b))
-				code := ch.code(now, m.cfg.FlatSelectPriority)
-				if code == codeNotReady {
-					continue
-				}
-				if best == nil || code < bestCode ||
-					(code == bestCode && older(m.slots[ch.head], m.slots[best.head])) {
-					best, bestCode = ch, code
-				}
-			}
-		}
+		best := m.selected(q, now)
 		if best == nil {
 			continue
 		}
@@ -327,6 +326,38 @@ func (m *mixBUFF) Issue(env Env, budget int) int {
 	return issued
 }
 
+// selected returns the chain queue q's selection picks at cycle now, by
+// minimum code‖age over the busy chains' heads, or nil when every chain
+// is not ready. The pick is kept until the queue changes or the earliest
+// cycle at which a chain's code does: a not-ready chain becomes
+// first-time at its ready cycle and delayed one cycle later.
+func (m *mixBUFF) selected(q int, now int64) *chainState {
+	mq := &m.qs[q]
+	if now < mq.selUntil {
+		return mq.sel
+	}
+	var best *chainState
+	bestCode, until := codeNotReady, int64(math.MaxInt64)
+	for w := 0; w < m.words; w++ {
+		for b := m.busy[q*m.words+w]; b != 0; b &= b - 1 {
+			ch := m.chain(q, w*64+bits.TrailingZeros64(b))
+			if ch.readyAt >= now {
+				until = min(until, max(ch.readyAt, now+1))
+			}
+			code := ch.code(now, m.cfg.FlatSelectPriority)
+			if code == codeNotReady {
+				continue
+			}
+			if best == nil || code < bestCode ||
+				(code == bestCode && older(m.slots[ch.head], m.slots[best.head])) {
+				best, bestCode = ch, code
+			}
+		}
+	}
+	mq.sel, mq.selUntil = best, until
+	return best
+}
+
 // remove deletes an issued instruction, the head of its chain, and
 // updates the chain: its ready cycle becomes the instruction's result
 // cycle, and the chain is freed once no instructions remain.
@@ -335,12 +366,14 @@ func (m *mixBUFF) remove(in *isa.Inst, now int64) {
 	ch := m.chain(q, in.ChainID)
 	s := ch.head
 	ch.head, ch.headReady = m.next[s], unread
-	m.slots[s], m.next[s] = nil, m.free[q]
-	m.free[q] = s
-	m.n[q]--
-	if m.n[q] == 0 {
+	mq := &m.qs[q]
+	m.slots[s], m.next[s] = nil, mq.free
+	mq.free = s
+	mq.n--
+	if mq.n == 0 {
 		m.nonEmpty--
 	}
+	mq.selUntil = 0
 	m.occ--
 
 	ch.readyAt = now + int64(latencyOf(in, m.opt.Latencies, m.opt.MemHitLat))
