@@ -202,6 +202,44 @@ func TestMixBUFFChainCodeFollowsReadyCycle(t *testing.T) {
 	}
 }
 
+func TestMixBUFFKeptSelectionFollowsChainCodes(t *testing.T) {
+	// Nothing enters or leaves the queue (both heads wait on operands),
+	// so the kept selection must change exactly when a chain's code does.
+	m := newTestMixBUFF(1, 8, 4)
+	env := newFakeEnv()
+	env.block(true, 1)
+	old := fpInst(0, 1, isa.NoReg, isa.NoReg)
+	young := fpInst(1, 1, isa.NoReg, isa.NoReg)
+	place(m, 0, 0, old)
+	place(m, 0, 1, young)
+	m.chain(0, 0).readyAt = 10
+	m.chain(0, 1).readyAt = 12
+	want := map[int64]*isa.Inst{
+		9:  nil,   // both not ready
+		10: old,   // old chain first-time
+		11: old,   // old chain delayed, young not ready
+		12: young, // first-time beats delayed
+		13: old,   // both delayed: age decides
+		14: old,
+	}
+	for env.cycle = 9; env.cycle <= 14; env.cycle++ {
+		before := m.ev.SelRegWrites
+		if n := m.Issue(env, 8); n != 0 {
+			t.Fatalf("cycle %d: issued with operands blocked", env.cycle)
+		}
+		var got *isa.Inst
+		if ch := m.selected(0, env.cycle); ch != nil {
+			got = m.slots[ch.head]
+		}
+		if got != want[env.cycle] {
+			t.Fatalf("cycle %d: selected %v, want %v", env.cycle, got, want[env.cycle])
+		}
+		if d := m.ev.SelRegWrites - before; (d == 1) != (got != nil) {
+			t.Fatalf("cycle %d: %d selection register writes", env.cycle, d)
+		}
+	}
+}
+
 func TestMixBUFFFirstTimeBeatsDelayed(t *testing.T) {
 	// A delayed instruction (chain long since ready) must lose to a
 	// younger instruction whose chain became ready this cycle.
