@@ -45,6 +45,7 @@ const idle = math.MaxInt64
 // fifoHead is one queue's ring position and cached head.
 type fifoHead struct {
 	in         *isa.Inst // head instruction, nil when the queue is empty
+	tail       *isa.Inst // youngest instruction, nil when the queue is empty
 	ready      readyCache
 	first      int // slot offset of the head
 	n          int // instructions held
@@ -81,14 +82,6 @@ func (r *fifoRings) slot(q, i int) int {
 	return q*r.entries + i
 }
 
-// tail returns the youngest instruction of queue q, or nil when empty.
-func (r *fifoRings) tail(q int) *isa.Inst {
-	if r.heads[q].n == 0 {
-		return nil
-	}
-	return r.slots[r.slot(q, r.heads[q].n-1)]
-}
-
 // firstEmpty returns the lowest-numbered empty queue, or -1.
 func (r *fifoRings) firstEmpty() int {
 	for q := range r.heads {
@@ -104,7 +97,7 @@ func (r *fifoRings) push(q int, in *isa.Inst) {
 	in.QueueID = q
 	h := &r.heads[q]
 	s := r.slot(q, h.n)
-	r.slots[s] = in
+	r.slots[s], h.tail = in, in
 	if p := r.producer.cell(in.DestFP, in.PDest); p != nil {
 		*p = int32(s + 1)
 	}
@@ -138,6 +131,8 @@ func (r *fifoRings) pop(q int) {
 	h.in, r.headAt[q] = nil, idle
 	if h.n > 0 {
 		r.newHead(q, r.slots[r.slot(q, 0)])
+	} else {
+		h.tail = nil
 	}
 }
 
@@ -253,7 +248,7 @@ func (f *issueFIFO) producerQueue(reg int16, fp bool) int {
 	if !m.valid {
 		return -1
 	}
-	if t := f.tail(m.queue); t == nil || t.Seq != m.seq {
+	if t := f.heads[m.queue].tail; t == nil || t.Seq != m.seq {
 		return -1
 	}
 	return m.queue

@@ -49,8 +49,9 @@ func (l *latFIFO) Geometry() power.Geometry {
 func (l *latFIFO) Dispatch(env Env, in *isa.Inst) bool {
 	best, bestTail := -1, int64(-1)
 	for q := range l.heads {
-		t := l.tail(q)
-		if t == nil || l.full(q) {
+		h := &l.heads[q]
+		t := h.tail
+		if t == nil || h.n >= l.entries {
 			continue
 		}
 		if t.EstIssue <= in.EstIssue-1 && t.EstIssue > bestTail {
