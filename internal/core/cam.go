@@ -7,11 +7,6 @@ import (
 	"distiq/internal/power"
 )
 
-// wheelSize bounds how far ahead of the current cycle a known ready cycle
-// can lie: a producer's result is usable less than the pipeline's
-// completion horizon after it issues. A power of two.
-const wheelSize = 1024
-
 // camEntry is one slot of the CAM queue: the instruction and the cached
 // ready cycle of each source tag (0 when absent, NotYet while the
 // producer has not issued).
@@ -73,19 +68,30 @@ type camQueue struct {
 	ev  power.Events
 
 	ents       []camEntry
-	free       []int            // free slots
-	ready      []int            // slots whose issue operands are usable, in dispatch order
-	waiting    []int            // slots with a tag re-read each cycle
-	wheel      [wheelSize]int32 // per ready cycle mod wheelSize, a list of slots
+	free       []int // free slots
+	ready      []int // slots whose issue operands are usable, in dispatch order
+	waiting    []int // slots with a tag re-read each cycle
 	occ        int
 	dispatched uint64      // instructions ever dispatched
 	producer   producerMap // slots of the unissued producers in this queue
 
-	unknown [2]int              // tags per register file with an unissued producer
-	future  [2]int              // tags per register file with a ready cycle after seen
-	due     [2][wheelSize]int32 // future tags by ready cycle mod wheelSize
-	seen    int64               // cycle the state was last brought up to date
-	issued  []*isa.Inst         // instructions issued by the last Issue call
+	unknown [2]int // tags per register file with an unissued producer
+	future  [2]int // tags per register file with a ready cycle after seen
+	// wheel holds one bucket per cycle after seen, indexed by the cycle
+	// modulo its length (a power of two). It doubles when a ready cycle
+	// lies beyond it; a result is usable within the pipeline's
+	// completion horizon of its producer's issue, so it stops growing
+	// after the first long memory accesses.
+	wheel  []wheelBucket
+	seen   int64       // cycle the state was last brought up to date
+	issued []*isa.Inst // instructions issued by the last Issue call
+}
+
+// wheelBucket is what becomes usable in one cycle: a list of slots whose
+// issue operands all do, and the number of tags per register file.
+type wheelBucket struct {
+	slots int
+	due   [2]int
 }
 
 func newCAM(cfg DomainConfig, opt Options) *camQueue {
@@ -98,15 +104,35 @@ func newCAM(cfg DomainConfig, opt Options) *camQueue {
 		ready:   make([]int, 0, n),
 		waiting: make([]int, 0, n),
 		issued:  make([]*isa.Inst, 0, n),
+		wheel:   newWheel(64),
 		seen:    -1,
 	}
 	for i := range q.free {
 		q.free[i] = n - 1 - i
 	}
-	for i := range q.wheel {
-		q.wheel[i] = -1
-	}
 	return q
+}
+
+func newWheel(n int) []wheelBucket {
+	w := make([]wheelBucket, n)
+	for i := range w {
+		w[i].slots = -1
+	}
+	return w
+}
+
+// bucket returns the wheel bucket of cycle at, which lies after now, the
+// cycle the wheel was last advanced to.
+func (q *camQueue) bucket(at, now int64) *wheelBucket {
+	for at-now >= int64(len(q.wheel)) {
+		n := int64(len(q.wheel))
+		w := newWheel(2 * len(q.wheel))
+		for t := now + 1; t < now+n; t++ {
+			w[t&(2*n-1)] = q.wheel[t&(n-1)]
+		}
+		q.wheel = w
+	}
+	return &q.wheel[at&int64(len(q.wheel)-1)]
 }
 
 func (q *camQueue) Name() string          { return "CAM" }
@@ -182,7 +208,7 @@ func (q *camQueue) countTag(fp bool, at, now int64, d int) {
 		q.unknown[f] += d
 	case at > now:
 		q.future[f] += d
-		q.due[f][at%wheelSize] += int32(d)
+		q.bucket(at, now).due[f] += d
 	}
 }
 
@@ -210,8 +236,8 @@ func (q *camQueue) schedule(s int, now int64) {
 		q.makeReady(s)
 		return
 	}
-	b := at % wheelSize
-	e.next, q.wheel[b] = int(q.wheel[b]), int32(s)
+	b := q.bucket(at, now)
+	e.next, b.slots = b.slots, s
 }
 
 // makeReady inserts slot s into the ready list in dispatch order, which
@@ -236,16 +262,15 @@ func (q *camQueue) refresh(env Env, now int64) {
 		q.seen = now
 		return
 	}
-	for t := q.seen + 1; t <= now && t <= q.seen+wheelSize; t++ {
-		b := t % wheelSize
-		for f := range q.due {
-			q.future[f] -= int(q.due[f][b])
-			q.due[f][b] = 0
+	for t := q.seen + 1; t <= now && t < q.seen+int64(len(q.wheel)); t++ {
+		b := &q.wheel[t&int64(len(q.wheel)-1)]
+		for f, d := range b.due {
+			q.future[f] -= d
 		}
-		for s := int(q.wheel[b]); s >= 0; s = q.ents[s].next {
+		for s := b.slots; s >= 0; s = q.ents[s].next {
 			q.makeReady(s)
 		}
-		q.wheel[b] = -1
+		*b = wheelBucket{slots: -1}
 	}
 	q.seen = now
 

@@ -248,3 +248,48 @@ func TestCAMTagParkedOnProducerInQueue(t *testing.T) {
 		t.Fatal("woken consumer did not issue in its ready cycle")
 	}
 }
+
+func TestCAMWheelGrowsForFarReadyCycles(t *testing.T) {
+	// Ready cycles beyond the timing wheel's reach grow it; entries
+	// already waiting on it keep their cycles.
+	q := newTestCAM(8)
+	env := newFakeEnv()
+	env.readyAt[env.key(false, 3)] = 5
+	near := mkInst(0, isa.IntALU, 3, isa.NoReg, 6)
+	q.Dispatch(env, near)
+	env.readyAt[env.key(false, 4)] = 700
+	far := mkInst(1, isa.IntALU, 4, isa.NoReg, 7)
+	q.Dispatch(env, far)
+	if len(q.wheel) < 700 {
+		t.Fatalf("wheel of %d cycles holds a ready cycle 700 ahead", len(q.wheel))
+	}
+	for env.cycle = 1; env.cycle <= 700; env.cycle++ {
+		before := q.ev.WakeupCAMCells
+		q.OnComplete(env, false)
+		want := uint64(0)
+		if env.cycle < 5 {
+			want++
+		}
+		if env.cycle < 700 {
+			want++
+		}
+		if d := q.ev.WakeupCAMCells - before; d != want {
+			t.Fatalf("cycle %d: %d unready tags, want %d", env.cycle, d, want)
+		}
+		n := q.Issue(env, 8)
+		switch env.cycle {
+		case 5:
+			if n != 1 || env.issued[0] != near {
+				t.Fatal("near entry did not issue at its ready cycle")
+			}
+		case 700:
+			if n != 1 || env.issued[1] != far {
+				t.Fatal("far entry did not issue at its ready cycle")
+			}
+		default:
+			if n != 0 {
+				t.Fatalf("cycle %d: issued %d", env.cycle, n)
+			}
+		}
+	}
+}
