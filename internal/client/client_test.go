@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,11 +140,30 @@ func waitIdle(t *testing.T, cl *client.Local, requested int64) engine.Stats {
 	}
 }
 
+// gatedStore holds every persistent-store lookup for jobs that fail pass
+// until release is closed. The engine consults the store before a batch
+// group claims its worker slot, so a held group stays unscheduled.
+type gatedStore struct {
+	engine.ResultStore
+	pass    func(engine.Job) bool
+	release chan struct{}
+}
+
+func (s *gatedStore) Get(fp string, job engine.Job) (engine.Result, bool) {
+	if !s.pass(job) {
+		<-s.release
+	}
+	return s.ResultStore.Get(fp, job)
+}
+
 // TestLocalSweepCancelledMidFlight is the acceptance scenario at the
 // Client layer: cancelling a sweep returns promptly with an error
 // unwrapping to context.Canceled, the store stays consistent, and a warm
 // rerun through a fresh client finishes only the remaining points — zero
-// re-simulations for completed ones.
+// re-simulations for completed ones. Points of the other benchmarks are
+// held at their store lookup until the sweep is cancelled, so the
+// cancellation always lands while their batches are unscheduled,
+// whatever order the scheduler starts the batches in.
 func TestLocalSweepCancelledMidFlight(t *testing.T) {
 	dir := t.TempDir()
 	spec := scenario.New("cancel").
@@ -156,14 +176,31 @@ func TestLocalSweepCancelledMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := grid.Size() // 12 points
+	firstBench := grid.Points[0].Bench
+	ran := 0
+	for _, p := range grid.Points {
+		if p.Bench == firstBench {
+			ran++
+		}
+	}
 
-	first := client.NewLocal(client.WithParallel(2), client.WithCacheDir(dir))
+	gate := &gatedStore{
+		ResultStore: engine.NewStore(dir),
+		pass:        func(j engine.Job) bool { return j.Bench == firstBench },
+		release:     make(chan struct{}),
+	}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+
+	first := client.NewLocal(client.WithParallel(2), client.WithStore(gate))
 	ctx, cancel := context.WithCancel(context.Background())
 	st := first.Sweep(ctx, grid)
 	if !st.Next() {
 		t.Fatalf("no first update: %v", st.Err())
 	}
 	cancel()
+	release()
 	start := time.Now()
 	for st.Next() {
 	}
@@ -172,7 +209,7 @@ func TestLocalSweepCancelledMidFlight(t *testing.T) {
 	}
 	err = st.Err()
 	if err == nil {
-		t.Skip("sweep finished before the cancellation landed")
+		t.Fatal("sweep finished although points were unscheduled when it was cancelled")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("stream err = %v, want context.Canceled in the chain", err)
@@ -180,6 +217,10 @@ func TestLocalSweepCancelledMidFlight(t *testing.T) {
 	st1 := waitIdle(t, first, int64(n))
 	if st1.Canceled == 0 {
 		t.Fatalf("stream failed (%v) but the engine cancelled nothing: %+v", err, st1)
+	}
+	if st1.Simulated != int64(ran) || st1.Canceled != int64(n-ran) {
+		t.Fatalf("engine stats %+v, want %d simulated (%s) and %d cancelled",
+			st1, ran, firstBench, n-ran)
 	}
 
 	second := client.NewLocal(client.WithParallel(2), client.WithCacheDir(dir))
