@@ -124,7 +124,9 @@ var defaultTimeouts = serverTimeouts{
 
 // newHTTPServer returns the listener-side server around h. No write
 // timeout is set: an NDJSON stream legitimately stays open for as long as
-// its sweep runs.
+// its sweep runs. The read timeout bounds only the request itself:
+// net/http clears the read deadline once the request body is consumed,
+// so it never cuts off a response (TestStreamOutlivesReadBound).
 func newHTTPServer(addr string, h http.Handler, t serverTimeouts) *http.Server {
 	return &http.Server{
 		Addr:              addr,

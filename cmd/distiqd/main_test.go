@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"distiq/internal/client"
 	"distiq/internal/cliutil"
+	"distiq/internal/engine"
 	"distiq/internal/serve"
 )
 
@@ -153,12 +155,14 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 	go s.Serve(ln) //nolint:errcheck // ends with Close below
 	defer s.Close()
 
+	// The server's header deadline starts when it accepts, which may
+	// precede Dial's return, so the clock starts before Dial.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: distiqd\r\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +178,66 @@ func TestSlowHeadersDisconnected(t *testing.T) {
 	}
 	if elapsed < bound {
 		t.Fatalf("dropped after %v, before the %v bound", elapsed, bound)
+	}
+}
+
+// TestStreamOutlivesReadBound streams a sweep that runs for several read
+// bounds: the stream must still end with its done line. A read deadline
+// still armed while the handler runs would make the server cancel the
+// request context, and the stream would end without it.
+func TestStreamOutlivesReadBound(t *testing.T) {
+	const bound = 100 * time.Millisecond
+	srv := serve.New(serve.Config{
+		Parallel: 1,
+		Simulate: func(engine.Job) (engine.Result, error) {
+			time.Sleep(2 * bound)
+			return engine.Result{}, nil
+		},
+	})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newHTTPServer("", srv, serverTimeouts{readHeader: bound, read: bound, idle: time.Minute})
+	go s.Serve(ln) //nolint:errcheck // ends with Close below
+	defer s.Close()
+	base := "http://" + ln.Addr().String()
+
+	spec := `{"benchmarks": ["swim", "gzip"], "schemes": [{"scheme": "MB_distr"}],
+		"warmup": 500, "instructions": 1000}`
+	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st serve.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+
+	start := time.Now()
+	resp, err = http.Get(base + "/v1/sweeps/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last client.StreamEvent
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev client.StreamEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("stream after %v: %v", time.Since(start), err)
+		}
+		last = ev
+	}
+	if elapsed := time.Since(start); elapsed < 2*bound {
+		t.Fatalf("stream ended after %v, within twice the %v read bound", elapsed, bound)
+	}
+	if !last.Done || last.Points != 2 {
+		t.Fatalf("stream ended with %+v, want the done line after 2 points", last)
 	}
 }
