@@ -324,6 +324,10 @@ const (
 	KindMixBUFF   = core.KindMixBUFF
 )
 
+// NotYet is Env.OperandReadyAt's answer for a register whose producer
+// has not issued; a scheme may cache any other answer.
+const NotYet = core.NotYet
+
 // Named configurations from the paper.
 var (
 	// Unbounded is the section 3 reference: issue queues as large as
