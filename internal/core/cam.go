@@ -25,21 +25,16 @@ type camEntry struct {
 	sched   bool // issue operands known: on the wheel or in the ready list
 }
 
-// tag returns source k's register file and physical register.
-func (e *camEntry) tag(k int) (fp bool, preg int16) {
-	if k == 0 {
-		return e.in.Src1FP, e.in.PSrc1
-	}
-	return e.in.Src2FP, e.in.PSrc2
-}
-
-// issueAt returns the cycle the entry's issue operands are all usable
-// (every source except a store's data), NotYet while one is unknown.
+// issueAt returns the cycle the entry's issue operands are all usable,
+// NotYet while one is unknown.
 func (e *camEntry) issueAt() int64 {
-	if e.in.Class == isa.Store {
-		return e.at[0]
+	var at int64
+	for k := range e.at {
+		if _, _, gates := IssueOperand(e.in, k); gates {
+			at = max(at, e.at[k])
+		}
 	}
-	return max(e.at[0], e.at[1])
+	return at
 }
 
 // polled reports whether tag k is unknown and not on a wakeup list.
@@ -168,15 +163,16 @@ func (q *camQueue) Dispatch(env Env, in *isa.Inst) bool {
 	*e = camEntry{in: in, ord: q.dispatched, wakeup: -1, wpos: -1}
 	q.dispatched++
 	for k := range e.at {
-		fp, preg := e.tag(k)
+		fp, preg, gates := IssueOperand(in, k)
 		if preg == isa.NoReg {
 			continue
 		}
 		e.at[k] = env.OperandReadyAt(fp, preg)
 		q.countTag(fp, e.at[k], now, 1)
-		// A store's data tag never gates issue, so the store may leave
-		// before its producer issues; it is always re-read instead.
-		if e.at[k] != NotYet || (k == 1 && in.Class == isa.Store) {
+		// A tag that does not gate issue (a store's data) may leave
+		// with its entry before its producer issues; it is always
+		// re-read instead.
+		if e.at[k] != NotYet || !gates {
 			continue
 		}
 		if p := q.producer.cell(fp, preg); p != nil && *p > 0 {
@@ -216,7 +212,7 @@ func (q *camQueue) countTag(fp bool, at, now int64, d int) {
 // at cycle at.
 func (q *camQueue) resolve(s, k int, at, now int64) {
 	e := &q.ents[s]
-	fp, _ := e.tag(k)
+	fp, _ := source(e.in, k)
 	q.countTag(fp, NotYet, now, -1)
 	e.at[k], e.parked[k] = at, false
 	q.countTag(fp, at, now, 1)
@@ -281,7 +277,7 @@ func (q *camQueue) refresh(env Env, now int64) {
 			if !e.polled(k) {
 				continue
 			}
-			if at := env.OperandReadyAt(e.tag(k)); at != NotYet {
+			if at := env.OperandReadyAt(source(e.in, k)); at != NotYet {
 				q.resolve(s, k, at, now)
 			}
 		}
@@ -341,7 +337,7 @@ func (q *camQueue) release(env Env, s int, now int64) {
 	in := e.in
 	q.issued = append(q.issued, in)
 	for k, at := range e.at {
-		if fp, preg := e.tag(k); preg != isa.NoReg {
+		if fp, preg := source(in, k); preg != isa.NoReg {
 			q.countTag(fp, at, now, -1)
 		}
 	}

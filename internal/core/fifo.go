@@ -149,10 +149,11 @@ func (r *fifoRings) read(env Env, q int) int64 {
 	h := &r.heads[q]
 	at := h.ready.at(env, h.in)
 	if at == NotYet {
-		fp, preg := h.in.Src1FP, h.in.PSrc1
-		if h.ready.src1 != NotYet {
-			fp, preg = h.in.Src2FP, h.in.PSrc2
+		k := 0
+		if h.ready[0] != NotYet {
+			k = 1
 		}
+		fp, preg := source(h.in, k)
 		if p := r.producer.cell(fp, preg); p != nil && *p > 0 {
 			s := int(*p - 1)
 			h.nextParked, r.wakeup[s] = r.wakeup[s], q

@@ -218,29 +218,29 @@ func New(cfg DomainConfig, opt Options) (Scheme, error) {
 	return nil, fmt.Errorf("core: unknown scheme kind %v", cfg.Kind)
 }
 
-// OperandsReady reports whether in can begin execution this cycle: every
-// register source must be usable, except a store's data operand (Src2) —
-// the paper splits stores into address computation (issued as soon as the
-// address register is ready) and the memory write (performed at commit,
-// by which time in-order retirement guarantees the data).
-func OperandsReady(env Env, in *isa.Inst) bool {
-	if in.PSrc1 != isa.NoReg && !env.OperandReady(in.Src1FP, in.PSrc1) {
-		return false
+// source returns register source k (0 or 1) of in: its register file
+// and physical register, NoReg when absent.
+func source(in *isa.Inst, k int) (fp bool, preg int16) {
+	if k == 0 {
+		return in.Src1FP, in.PSrc1
 	}
-	if in.Class == isa.Store {
-		return true
-	}
-	if in.PSrc2 != isa.NoReg && !env.OperandReady(in.Src2FP, in.PSrc2) {
-		return false
-	}
-	return true
+	return in.Src2FP, in.PSrc2
 }
 
-// readyCache holds the ready cycles of one instruction's issue operands
-// (every register source except a store's data, as in OperandsReady).
-// Each is read from the Env until its producer has issued, and never
-// again after.
-type readyCache struct{ src1, src2 int64 }
+// IssueOperand returns register source k (0 or 1) of in and whether it
+// gates issue. Every register source does except a store's data operand
+// (Src2): the paper splits stores into address computation (issued as
+// soon as the address register is ready) and the memory write (performed
+// at commit, by which time in-order retirement guarantees the data).
+func IssueOperand(in *isa.Inst, k int) (fp bool, preg int16, gates bool) {
+	fp, preg = source(in, k)
+	return fp, preg, preg != isa.NoReg && (k == 0 || in.Class != isa.Store)
+}
+
+// readyCache holds the ready cycles of one instruction's issue operands,
+// 0 for a source that does not gate issue. Each is read from the Env
+// until its producer has issued, and never again after.
+type readyCache [2]int64
 
 // unread is the state of a readyCache that has read nothing yet.
 var unread = readyCache{NotYet, NotYet}
@@ -249,21 +249,18 @@ var unread = readyCache{NotYet, NotYet}
 // while one of their producers has not issued. The second operand is
 // read only once the first is known.
 func (c *readyCache) at(env Env, in *isa.Inst) int64 {
-	if c.src1 == NotYet {
-		c.src1 = 0
-		if in.PSrc1 != isa.NoReg {
-			if c.src1 = env.OperandReadyAt(in.Src1FP, in.PSrc1); c.src1 == NotYet {
+	for k := range c {
+		if c[k] != NotYet {
+			continue
+		}
+		c[k] = 0
+		if fp, preg, gates := IssueOperand(in, k); gates {
+			if c[k] = env.OperandReadyAt(fp, preg); c[k] == NotYet {
 				return NotYet
 			}
 		}
 	}
-	if c.src2 == NotYet {
-		c.src2 = 0
-		if in.PSrc2 != isa.NoReg && in.Class != isa.Store {
-			c.src2 = env.OperandReadyAt(in.Src2FP, in.PSrc2)
-		}
-	}
-	return max(c.src1, c.src2)
+	return max(c[0], c[1])
 }
 
 // producerMap maps a register (file, physical index) to 1 + the slot of

@@ -53,8 +53,10 @@ func (e *stressEnv) TryIssue(in *isa.Inst) bool {
 	if e.budget <= 0 {
 		return false
 	}
-	if !OperandsReady(e, in) {
-		return false
+	for k := 0; k < 2; k++ {
+		if fp, preg, gates := IssueOperand(in, k); gates && !e.OperandReady(fp, preg) {
+			return false
+		}
 	}
 	e.budget--
 	lat := int64(isa.DefaultLatencies()[in.Class])

@@ -145,12 +145,10 @@ func (p *Pipeline) TryIssue(in *isa.Inst) bool {
 	if p.widthUsed[d] >= p.issueWidth(d) {
 		return false
 	}
-	if in.PSrc1 != isa.NoReg && !p.regs[regDomain(in.Src1FP)].Ready(in.PSrc1, p.cycle) {
-		return false
-	}
-	// A store's data operand is consumed at commit (core.OperandsReady).
-	if in.PSrc2 != isa.NoReg && in.Class != isa.Store && !p.regs[regDomain(in.Src2FP)].Ready(in.PSrc2, p.cycle) {
-		return false
+	for k := 0; k < 2; k++ {
+		if fp, preg, gates := core.IssueOperand(in, k); gates && !p.regs[regDomain(fp)].Ready(preg, p.cycle) {
+			return false
+		}
 	}
 	var fwdStore *isa.Inst
 	if in.Class == isa.Load {
